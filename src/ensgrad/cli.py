@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed checks or partial benchmark failure,
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -366,12 +367,15 @@ def _read_values_matrix(path):
             if not row:
                 continue
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError:
                 raise DimensionError(
                     f"{path}:{lineno}: non-numeric cell; values files are "
                     "headerless CSV matrices"
                 )
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     if not rows:
         raise InsufficientSampleError(f"{path}: no values")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -403,6 +407,8 @@ def _cmd_gradient(args):
         dims, n_total = u_members.shape
         if args.mean_u is not None:
             mu = np.array([float(t) for t in args.mean_u.split(",")])
+            if not np.all(np.isfinite(mu)):
+                raise ValueError(f"--mean-u has a non-finite entry: {args.mean_u}")
             if mu.shape != (dims,):
                 raise DimensionError(
                     f"--mean-u has {mu.size} entries, the ensemble has {dims} dims"

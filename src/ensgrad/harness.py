@@ -5,9 +5,15 @@ gradient of a separable Hermite objective under Gaussian control and
 uncertainty ensembles, then aggregates signed per-dimension errors into
 RMSE/bias tables over a regularisation grid. `run_trial` is the plain
 reference path (a composition of the public estimator functions);
-`run_bench` runs blocks of trials through a vectorised kernel that stacks
-trials and batches the SVDs, which is what makes desk-scale trial counts
-affordable on one core. A test pins the two paths together.
+`run_bench` runs blocks of trials through a vectorised kernel, which is what
+makes desk-scale trial counts affordable on one core. A test pins the two
+paths together. The kernel
+- stacks a block's trials on a leading axis and batches their SVDs, with
+  each SVD's damped singular values computed once for every lambda;
+- reduces the M x N evaluations of `plain_lls` and `avg_grad` to member
+  means of `He_k(x)` and powers of `u`, by the binomial identity
+  `He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k)`;
+- takes the truth in closed form (`objectives.hermite_expected_grad`).
 
 Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
@@ -243,12 +249,18 @@ class TrialOutcome:
     truth: np.ndarray
 
 
-def _draw_trial(cfg, n, trial_index, need_vw):
+def _draw_factors(cfg):
+    """(x_spec, its factor, u_spec, its factor): what every trial's draws
+    share, built once per block rather than once per trial."""
+    x_spec, u_spec = cfg.x_spec(), cfg.u_spec()
+    return x_spec, x_spec.factor(), u_spec, u_spec.factor()
+
+
+def _draw_trial(cfg, factors, n, trial_index, need_vw):
     """All of a trial's ensembles from one child stream, in a fixed order."""
-    u_spec, x_spec = cfg.u_spec(), cfg.x_spec()
+    x_spec, lx, u_spec, lu = factors
     rng = rng_from(child_seed(cfg.base_seed, trial_index))
     m = cfg.m_members or n
-    lx, lu = x_spec.factor(), u_spec.factor()
     x = x_spec.mean[:, None] + lx @ rng.standard_normal((cfg.dims, m))
     u_raw = u_spec.mean[:, None] + lu @ rng.standard_normal((cfg.dims, n))
     u = u_raw + (u_spec.mean - u_raw.mean(axis=1))[:, None]
@@ -260,8 +272,11 @@ def _draw_trial(cfg, n, trial_index, need_vw):
 
 
 def trial_truth(cfg, order, x_members):
+    """Expected gradient for trials with the given x-members, (d, M) or
+    (T, d, M)."""
     if cfg.truth == "distribution":
-        return hermite_expected_grad_dist(order, cfg.x_spec(), cfg.u_spec())
+        truth = hermite_expected_grad_dist(order, cfg.x_spec(), cfg.u_spec())
+        return np.broadcast_to(truth, x_members.shape[:-1])
     return hermite_expected_grad(order, x_members, cfg.u_spec())
 
 
@@ -270,9 +285,11 @@ def run_trial(cfg, order, n, trial_index):
     signed per-dimension errors for every configured estimator at every
     lambda, reusing the trial's ensembles and cached evaluations."""
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
-    x, u, vw = _draw_trial(cfg, n, trial_index, need_vw)
-    u_mean = cfg.u_spec().mean
-    x_ens = Ensemble(members=x, true_mean=cfg.x_spec().mean)
+    factors = _draw_factors(cfg)
+    x, u, vw = _draw_trial(cfg, factors, n, trial_index, need_vw)
+    x_spec, _, u_spec, _ = factors
+    u_mean = u_spec.mean
+    x_ens = Ensemble(members=x, true_mean=x_spec.mean)
     u_ens = Ensemble(members=u, true_mean=u_mean, recentred=True)
     vw_ens = (
         Ensemble(members=vw, true_mean=u_mean, recentred=True) if vw is not None else None
@@ -319,15 +336,16 @@ def _accumulate_reference(cfg, order, n, lo, hi):
 # Vectorised block path: trials stacked on a leading axis, SVDs batched.
 
 
-def _hermite_value_and_prev(order, t):
-    """(He_{order-1}, He_order) in one recurrence pass (prev is None at 0)."""
-    h_prev = np.ones_like(t)
-    if order == 0:
-        return None, h_prev
-    h = t.copy()
-    for k in range(1, order):
-        h, h_prev = t * h - k * h_prev, h
-    return h_prev, h
+def _member_hermite_means(order, x):
+    """`mean_m He_k(x[..., m])` for k = 0..order: (order+1, *x.shape[:-1])."""
+    out = np.empty((order + 1,) + x.shape[:-1])
+    out[0] = 1.0
+    h_prev, h = np.ones_like(x), x
+    for k in range(order):
+        if k:
+            h, h_prev = x * h - k * h_prev, h
+        out[k + 1] = h.mean(axis=-1)
+    return out
 
 
 def _damped_coeff(s, lam):
@@ -341,24 +359,19 @@ def _damped_coeff(s, lam):
     return np.where(s1 > 0, out, 0.0)
 
 
-def _apply_pinv_batch(row, svd, lam):
-    """row (T, N) times the damped pseudo-inverse of the (T, d, N) stack."""
-    u, s, vt = svd
+def _damped_svd(a, lambdas):
+    """Batched SVD of a (T, d, K) stack with its damped reciprocal singular
+    values at every lambda: (U, coeffs (L, T, K), Vt). The coefficients are
+    shared by every row applied to the same stack."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return u, np.stack([_damped_coeff(s, lam) for lam in lambdas]), vt
+
+
+def _apply_damped(row, damped):
+    """row (T, K) times the damped pseudo-inverse at every lambda, (L, T, d)."""
+    u, coeffs, vt = damped
     z = np.einsum("tn,tkn->tk", row, vt)
-    return np.einsum("tk,tdk->td", z * _damped_coeff(s, lam), u)
-
-
-def _batch_quad_truth(order, x_stack, u_spec):
-    """Conditional expected gradient per trial, (T, d)."""
-    from .objectives import _QUAD_T, _QUAD_W, _marginal_std
-
-    t_dims = x_stack.shape[:2]
-    if order == 0:
-        return np.zeros(t_dims)
-    sigma = _marginal_std(u_spec)
-    t = (u_spec.mean[None, :, None] + x_stack)[..., None] + sigma[None, :, None, None] * _QUAD_T
-    per_member = order * (hermite_value(order - 1, t) @ _QUAD_W)  # (T, d, M)
-    return per_member.mean(axis=2)
+    return np.einsum("ltk,tdk->ltd", z * coeffs, u)
 
 
 def _block_batch_size(dims, m, n):
@@ -369,7 +382,8 @@ def _run_block_fast(cfg, order, n, lo, hi):
     """ErrorStats for trials [lo, hi) of one (order, N) cell."""
     dims = cfg.dims
     m = cfg.m_members or n
-    u_spec = cfg.u_spec()
+    factors = _draw_factors(cfg)
+    _, _, u_spec, _ = factors
     mu = u_spec.mean
     skips = _skip_reasons(cfg, m, n)
     ests = [e for e in cfg.estimators if e not in skips]
@@ -385,48 +399,42 @@ def _run_block_fast(cfg, order, n, lo, hi):
         return stats, skips
 
     paired_ids = {"paired", "stosag", "one_sided", "mirrored2s", "decorr"}
-    dist_truth = (
-        hermite_expected_grad_dist(order, cfg.x_spec(), u_spec)
-        if cfg.truth == "distribution"
-        else None
-    )
-
     step = _block_batch_size(dims, m, n)
     for blo in range(lo, hi, step):
         bhi = min(blo + step, hi)
         xs, us, vws = [], [], []
         for trial in range(blo, bhi):
-            x, u, vw = _draw_trial(cfg, n, trial, need_vw)
+            x, u, vw = _draw_trial(cfg, factors, n, trial, need_vw)
             xs.append(x)
             us.append(u)
             vws.append(vw)
         x = np.stack(xs)  # (T, d, M)
         u = np.stack(us)  # (T, d, N)
         vw = np.stack(vws) if need_vw else None
-        t_count = x.shape[0]
+        truth = trial_truth(cfg, order, x)  # (T, d)
 
-        truth = (
-            np.broadcast_to(dist_truth, (t_count, dims))
-            if dist_truth is not None
-            else _batch_quad_truth(order, x, u_spec)
-        )
-
-        u_anoms = u - u.mean(axis=2, keepdims=True)
-        svd_u = np.linalg.svd(u_anoms, full_matrices=False)
+        def record(est, grads):
+            """grads: (L, T, d), one estimate per lambda and trial."""
+            for lam, grad in zip(lambdas, grads):
+                stats[(est, order, n, lam)].add_block(grad - truth)
 
         rows = {}
         if "plain_lls" in ests or "avg_grad" in ests:
-            big_t = x[:, :, :, None] + u[:, :, None, :]  # (T, d, M, N)
-            he_prev, he = _hermite_value_and_prev(order, big_t)
-            if "plain_lls" in ests:
-                rows["plain_lls"] = he.sum(axis=1).mean(axis=1)  # (T, N)
-            if "avg_grad" in ests:
-                grad_mean = (
-                    np.zeros((t_count, dims))
-                    if order == 0
-                    else order * he_prev.mean(axis=(2, 3))
-                )
-            del big_t, he_prev, he
+            # He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k): the member mean
+            # moves inside, so no (T, d, M, N) table is formed
+            he_bar = _member_hermite_means(order, x)[..., None]  # (order+1, T, d, 1)
+        if "plain_lls" in ests:
+            acc = np.broadcast_to(he_bar[0], u.shape)
+            for k in range(1, order + 1):
+                acc = acc * u + math.comb(order, k) * he_bar[k]
+            rows["plain_lls"] = acc.sum(axis=1)  # (T, N)
+        if "avg_grad" in ests:
+            grad_mean = np.zeros(truth.shape)
+            u_pow = np.ones_like(u)
+            for k in range(order - 1, -1, -1):
+                grad_mean += math.comb(order - 1, k) * he_bar[k, ..., 0] * u_pow.mean(axis=2)
+                u_pow = u_pow * u
+            grad_mean *= order
         if "fragile" in ests:
             xbar = x.mean(axis=2)
             rows["fragile"] = hermite_value(order, xbar[:, :, None] + u).sum(axis=1)
@@ -445,11 +453,10 @@ def _run_block_fast(cfg, order, n, lo, hi):
             r_back = hermite_value(order, x + w_members).sum(axis=1)
             rows["mirrored2s"] = 0.5 * (r_fwd - r_back)
 
-        for est in ("plain_lls", "fragile", "paired", "stosag", "one_sided", "mirrored2s"):
-            if est in rows:
-                for lam in lambdas:
-                    grad = _apply_pinv_batch(rows[est], svd_u, lam)
-                    stats[(est, order, n, lam)].add_block(grad - truth)
+        if rows:
+            damped_u = _damped_svd(u - u.mean(axis=2, keepdims=True), lambdas)
+            for est, row in rows.items():
+                record(est, _apply_damped(row, damped_u))
 
         if "decorr" in ests:
             # member construction goes through the reference routine per
@@ -457,7 +464,7 @@ def _run_block_fast(cfg, order, n, lo, hi):
             # amplifies reassociation noise, so a re-derived vectorisation
             # would not reproduce the estimator bit-for-bit
             u_eff = np.empty_like(u)
-            for i in range(t_count):
+            for i in range(x.shape[0]):
                 psi = base[i] - base[i].mean()
                 if psi @ psi > 0.0:
                     ens = Ensemble(members=u[i], true_mean=mu, recentred=True)
@@ -466,14 +473,10 @@ def _run_block_fast(cfg, order, n, lo, hi):
                     u_eff[i] = u[i]
             r_dec = hermite_value(order, x + u_eff).sum(axis=1)
             dec_anoms = u_eff - u_eff.mean(axis=2, keepdims=True)
-            svd_dec = np.linalg.svd(dec_anoms, full_matrices=False)
-            for lam in lambdas:
-                grad = _apply_pinv_batch(r_dec, svd_dec, lam)
-                stats[("decorr", order, n, lam)].add_block(grad - truth)
+            record("decorr", _apply_damped(r_dec, _damped_svd(dec_anoms, lambdas)))
 
         if "avg_grad" in ests:
-            for lam in lambdas:
-                stats[("avg_grad", order, n, lam)].add_block(grad_mean - truth)
+            record("avg_grad", [grad_mean] * len(lambdas))
 
         sub_ests = [e for e in SUBSAMPLED_IDS if e in ests]
         if sub_ests:
@@ -489,16 +492,11 @@ def _run_block_fast(cfg, order, n, lo, hi):
             vt = v - gmean
             wt = w - gmean
             if "two_sided" in ests:
-                svd_d = np.linalg.svd(v - w, full_matrices=False)
-                for lam in lambdas:
-                    grad = _apply_pinv_batch(d_row, svd_d, lam)
-                    stats[("two_sided", order, n, lam)].add_block(grad - truth)
+                record("two_sided", _apply_damped(d_row, _damped_svd(v - w, lambdas)))
             if "average_lls" in ests:
                 nrm2 = np.einsum("tdm,tdm->tm", vt, vt)
                 base_grad = np.einsum("tm,tdm->td", d_row / (2.0 * nrm2), vt) / m
-                for lam in lambdas:
-                    grad = base_grad / (1.0 + lam**2)
-                    stats[("average_lls", order, n, lam)].add_block(grad - truth)
+                record("average_lls", [base_grad / (1.0 + lam**2) for lam in lambdas])
             if "gen_stosag" in ests or "hybrid" in ests:
                 c_mean = (
                     np.einsum("tm,tdm->td", r_v, vt) + np.einsum("tm,tdm->td", r_w, wt)
@@ -507,20 +505,14 @@ def _run_block_fast(cfg, order, n, lo, hi):
                 cov_mean = (
                     np.einsum("tdm,tem->tde", vt, vt) + np.einsum("tdm,tem->tde", wt, wt)
                 ) / m
-                svd_c = np.linalg.svd(cov_mean, full_matrices=False)
-                for lam in lambdas:
-                    grad = _apply_pinv_batch(c_mean, svd_c, lam)
-                    stats[("gen_stosag", order, n, lam)].add_block(grad - truth)
+                record("gen_stosag", _apply_damped(c_mean, _damped_svd(cov_mean, lambdas)))
             if "hybrid" in ests:
                 pooled = vw - vw.mean(axis=2, keepdims=True)
                 # matmul, not einsum: bitwise-matches the plain `P @ P.T`
                 # route, and this covariance has a near-null tail that
                 # amplifies any last-bit difference at lambda = 0
                 cov_pool = np.matmul(pooled, pooled.transpose(0, 2, 1)) / (2 * m - 1)
-                svd_c = np.linalg.svd(cov_pool, full_matrices=False)
-                for lam in lambdas:
-                    grad = _apply_pinv_batch(c_mean, svd_c, lam)
-                    stats[("hybrid", order, n, lam)].add_block(grad - truth)
+                record("hybrid", _apply_damped(c_mean, _damped_svd(cov_pool, lambdas)))
 
     return stats, skips
 

@@ -13,29 +13,30 @@ from .errors import DimensionError
 
 MAX_HERMITE_ORDER = 6
 
-# 64-point Gauss-Hermite rule for the weight exp(-t^2/2): exact for
-# polynomial integrands up to degree 127, i.e. for every order used here.
-_QUAD_T, _QUAD_W = np.polynomial.hermite_e.hermegauss(64)
-_QUAD_W = _QUAD_W / np.sqrt(2.0 * np.pi)  # normalise to a probability measure
-
 
 def _check_order(order):
     if not isinstance(order, (int, np.integer)) or not 0 <= order <= MAX_HERMITE_ORDER:
         raise ValueError(f"Hermite order must be an int in [0, {MAX_HERMITE_ORDER}], got {order}")
 
 
-def hermite_value(order, t):
-    """Probabilists' Hermite polynomial He_k, elementwise, via the
-    recurrence He_{k+1} = t*He_k - k*He_{k-1}."""
-    _check_order(order)
-    t = np.asarray(t, dtype=float)
+def _scaled_hermite(order, t, shrink):
+    """The recurrence h_{k+1} = t h_k - k shrink h_{k-1}, from h_0 = 1 and
+    h_1 = t, elementwise. With shrink = 1 it gives He_order(t); with
+    shrink = 1 - var it gives E[He_order(t + sqrt(var) Z)], Z ~ N(0, 1)."""
     h_prev = np.ones_like(t)
     if order == 0:
         return h_prev
     h = t.copy()
     for k in range(1, order):
-        h, h_prev = t * h - k * h_prev, h
+        h, h_prev = t * h - (k * shrink) * h_prev, h
     return h
+
+
+def hermite_value(order, t):
+    """Probabilists' Hermite polynomial He_k, elementwise, via the
+    recurrence He_{k+1} = t*He_k - k*He_{k-1}."""
+    _check_order(order)
+    return _scaled_hermite(order, np.asarray(t, dtype=float), 1.0)
 
 
 def hermite_eval(order, x, u):
@@ -58,50 +59,51 @@ def hermite_grad_u(order, x, u):
     return order * hermite_value(order - 1, u + x)
 
 
-def _marginal_std(spec):
-    """Per-dimension standard deviations of a GaussianSpec. The objectives
-    here are separable across dimensions, so marginals are all that expected
+def _marginal_var(spec):
+    """Per-dimension variances of a GaussianSpec. The objectives here are
+    separable across dimensions, so marginals are all that expected
     gradients need, whatever the correlations."""
     cov = spec.cov
     if np.isscalar(cov):
-        return np.full(spec.dim, np.sqrt(float(cov)))
+        return np.full(spec.dim, float(cov))
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 1:
-        return np.sqrt(cov)
-    return np.sqrt(np.diag(cov))
+        return cov
+    return np.diag(cov)
 
 
 def hermite_expected_grad(order, x_members, u_spec):
     """Expected gradient of the mean objective, conditional on the drawn
     x-members: component i is `avg_m E[order * He_{order-1}(u_i + x_mi)]`
-    with `u_i ~ N(mu_i, C_ii)`, by Gauss-Hermite quadrature (exact here)."""
+    with `u_i ~ N(mu_i, C_ii)`, in closed form (`_scaled_hermite`).
+
+    `x_members` is (d, M), or (..., d, M) with leading trial axes; the
+    result is (d,), or (..., d)."""
     _check_order(order)
     x_members = np.asarray(x_members, dtype=float)
-    if x_members.ndim != 2:
-        raise DimensionError(f"expected (d, M) x-members, got shape {x_members.shape}")
-    d = x_members.shape[0]
+    if x_members.ndim < 2:
+        raise DimensionError(f"expected (..., d, M) x-members, got shape {x_members.shape}")
+    d = x_members.shape[-2]
     if u_spec.dim != d:
         raise DimensionError(f"u_spec has dim {u_spec.dim}, x-members have {d}")
     if order == 0:
-        return np.zeros(d)
-    sigma = _marginal_std(u_spec)
-    # t[i, m, q] = mu_i + x_mi + sigma_i * node_q
-    t = (u_spec.mean[:, None] + x_members)[:, :, None] + sigma[:, None, None] * _QUAD_T
-    per_member = order * (hermite_value(order - 1, t) @ _QUAD_W)  # (d, M)
-    return per_member.mean(axis=1)
+        return np.zeros(x_members.shape[:-1])
+    a = u_spec.mean[:, None] + x_members
+    shrink = 1.0 - _marginal_var(u_spec)[:, None]
+    return order * _scaled_hermite(order - 1, a, shrink).mean(axis=-1)
 
 
 def hermite_expected_grad_dist(order, x_spec, u_spec):
     """Distributional variant: expectation over x as well. The sum u_i + x_i
-    is again Gaussian, so one quadrature with the combined scale is exact."""
+    is again Gaussian, with the two means and the two variances added."""
     _check_order(order)
     if x_spec.dim != u_spec.dim:
         raise DimensionError(f"x dim {x_spec.dim} != u dim {u_spec.dim}")
     if order == 0:
         return np.zeros(u_spec.dim)
-    sigma = np.sqrt(_marginal_std(u_spec) ** 2 + _marginal_std(x_spec) ** 2)
-    t = (u_spec.mean + x_spec.mean)[:, None] + sigma[:, None] * _QUAD_T
-    return order * (hermite_value(order - 1, t) @ _QUAD_W)
+    a = u_spec.mean + x_spec.mean
+    shrink = 1.0 - (_marginal_var(u_spec) + _marginal_var(x_spec))
+    return order * _scaled_hermite(order - 1, a, shrink)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ draws replay identically regardless of scheduling or worker count.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -209,13 +210,24 @@ def write_ensemble_csv(path, members):
 
 
 def read_ensemble_csv(path):
-    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix."""
+    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix.
+    Non-numeric and non-finite cells are rejected, naming their line."""
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
         if not header or any(h != f"dim_{i}" for i, h in enumerate(header)):
             raise DimensionError(f"{path}: expected a dim_0,...,dim_k header, got {header}")
-        rows = [[float(x) for x in row] for row in r if row]
+        rows = []
+        for row in r:
+            if not row:
+                continue
+            try:
+                values = [float(x) for x in row]
+            except ValueError:
+                raise ValueError(f"{path}:{r.line_num}: non-numeric cell in {row}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{r.line_num}: non-finite cell in {row}")
+            rows.append(values)
     if not rows:
         raise InsufficientSampleError(f"{path}: no members")
     if any(len(row) != len(header) for row in rows):

@@ -474,6 +474,39 @@ class TestGradient:
         assert rc == 2
         assert "--mean-u" in err
 
+    def test_nan_in_values_exits_2(self, tmp_path, capsys):
+        u, u_csv = make_u(tmp_path)
+        row = np.zeros(12)
+        row[5] = np.nan
+        vals = write_values(tmp_path / "vals.csv", row)
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv,
+                           "--values", vals, "--estimator", "paired")
+        assert rc == 2
+        assert out == ""
+        assert f"{vals}:1: non-finite" in err
+
+    def test_inf_in_ensemble_exits_2(self, tmp_path, capsys):
+        u = np.random.default_rng(5).normal(size=(3, 12))
+        u[1, 3] = -np.inf
+        u_csv = tmp_path / "u.csv"
+        write_ensemble_csv(u_csv, u)
+        vals = write_values(tmp_path / "vals.csv", np.zeros(12))
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv,
+                           "--values", vals, "--estimator", "paired")
+        assert rc == 2
+        assert out == ""
+        # the header is line 1, member k is on line k + 2
+        assert f"{u_csv}:5: non-finite" in err
+
+    def test_nan_in_mean_u_exits_2(self, tmp_path, capsys):
+        u, u_csv = make_u(tmp_path, d=3)
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv,
+                           "--mean-u", "0.0,nan,0.0", "--objective", "hermite1",
+                           "--estimator", "paired")
+        assert rc == 2
+        assert out == ""
+        assert "--mean-u" in err and "non-finite" in err
+
     def test_precondition_flag_applies_sample_covariance(self, tmp_path, capsys):
         u, u_csv = make_u(tmp_path)
         b = np.array([1.5, -2.0, 0.5])

@@ -152,7 +152,7 @@ class TestRunTrial:
 
 
 class TestFastPathEquivalence:
-    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6])
     def test_reference_and_vectorised_agree(self, order):
         tol = {"gen_stosag": 1e-10, "hybrid": 1e-10}
         for n in (3, 4, 6, 10):

@@ -28,6 +28,36 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
+# 64-point Gauss-Hermite rule for the weight exp(-t^2/2), normalised to a
+# probability measure. It is exact for polynomial integrands up to degree
+# 127, which makes it an independent oracle for the closed-form Gaussian
+# expectations of every Hermite order used here.
+QUAD_T, QUAD_W = np.polynomial.hermite_e.hermegauss(64)
+QUAD_W = QUAD_W / np.sqrt(2.0 * np.pi)
+
+
+def quad_expected_grad(order, a, var):
+    """`order * E[He_{order-1}(a + sqrt(var) Z)]` by quadrature; a (d, M),
+    var (d,); averaged over the last axis."""
+    if order == 0:
+        return np.zeros(a.shape[0])
+    t = a[:, :, None] + np.sqrt(var)[:, None, None] * QUAD_T
+    return order * (hermite_value(order - 1, t) @ QUAD_W).mean(axis=1)
+
+
+def cov_of_kind(kind, var):
+    """A 3-D covariance of the given kind, and its marginal variances
+    (var for a scalar, var * (1, 0.5, 1.5) otherwise)."""
+    if kind == "scalar":
+        return var, np.full(3, var)
+    diag = var * np.array([1.0, 0.5, 1.5])
+    if kind == "diagonal":
+        return diag, diag
+    corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
+    sd = np.sqrt(diag)
+    return corr * np.outer(sd, sd), diag
+
+
 class TestHermiteValues:
     def test_low_orders_by_hand(self):
         t = np.array([0.0, 1.0, 2.0, -1.5])
@@ -136,6 +166,41 @@ class TestExpectedGradients:
     def test_order_zero_is_zero(self):
         out = hermite_expected_grad(0, np.zeros((2, 3)), GaussianSpec(np.zeros(2), 1.0))
         assert np.array_equal(out, np.zeros(2))
+
+    @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full"])
+    @pytest.mark.parametrize("var", [0.01, 0.26, 1.0, 2.5])
+    def test_closed_form_matches_quadrature(self, kind, var):
+        g = rng(9)
+        mu_u = g.standard_normal(3)
+        mu_x = np.linspace(-2.0, 2.0, 3)
+        u_cov, u_var = cov_of_kind(kind, var)
+        x_cov, x_var = cov_of_kind(kind, 0.25)
+        u_spec = GaussianSpec(mu_u, u_cov)
+        x_spec = GaussianSpec(mu_x, x_cov)
+        x = mu_x[:, None] + g.standard_normal((3, 7))
+        for order in range(7):
+            cases = (
+                (hermite_expected_grad(order, x, u_spec),
+                 quad_expected_grad(order, mu_u[:, None] + x, u_var)),
+                (hermite_expected_grad_dist(order, x_spec, u_spec),
+                 quad_expected_grad(order, (mu_u + mu_x)[:, None],
+                                    u_var + x_var)),
+            )
+            for got, ref in cases:
+                assert got.shape == (3,)
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (
+                    order, got, ref)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_stacked_trials_match_per_trial_calls(self, order):
+        g = rng(10)
+        spec = GaussianSpec(g.standard_normal(3), cov_of_kind("full", 0.26)[0])
+        x = g.standard_normal((4, 3, 6))
+        out = hermite_expected_grad(order, x, spec)
+        assert out.shape == (4, 3)
+        for t in range(4):
+            ref = hermite_expected_grad(order, x[t], spec)
+            assert np.all(np.abs(out[t] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_monte_carlo_agreement_order_five(self):
         g = rng(5)
