@@ -126,9 +126,15 @@ def _cmd_bench(args):
         cell_cfg = replace(cfg, hermite_orders=(order,), ensemble_sizes=(n,))
         try:
             res = run_bench(cell_cfg, workers=args.workers)
-            rows.extend(aggregate(res.stats))
+            cell_rows = aggregate(res.stats)
+            finite = [r for r in cell_rows if math.isfinite(r.rmse) and math.isfinite(r.bias)]
+            rows.extend(finite)
             for (s_order, s_n, est), reason in sorted(res.skips.items()):
                 notes.append(f"skipped {est} at order={s_order} N={s_n}: {reason}")
+            if len(finite) < len(cell_rows):
+                failures.append(f"order={order} N={n}: {len(cell_rows) - len(finite)} of "
+                                f"{len(cell_rows)} rows have a non-finite rmse or bias; "
+                                "left out")
         except Exception as e:  # keep going; report partial results
             failures.append(f"order={order} N={n}: {type(e).__name__}: {e}")
         print(f"[{i + 1}/{len(cells)}] order={order} N={n} done", file=sys.stderr)
@@ -316,17 +322,6 @@ def _values_objective(u_members, values, mu, mean_values):
         return np.array(idx, dtype=int)
 
     def value_pairs(X, U):
-        idx = lookup_idx(U)
-        if row_mode:
-            return values[0, idx]
-        if values.shape[0] != values.shape[1]:
-            raise DimensionError(
-                "per-pair evaluations need a single-row values file or a "
-                f"square table, got shape {values.shape}"
-            )
-        return values[idx, idx]
-
-    def value_table(X, U):
         if U.shape[1] == 1 and np.array_equal(U[:, 0], mu):
             if mean_values is None:
                 raise DimensionError(
@@ -337,11 +332,27 @@ def _values_objective(u_members, values, mu, mean_values):
                     f"--mean-values has {mean_values.shape[0]} entries, "
                     f"expected one per x-member ({X.shape[1]})"
                 )
-            return mean_values[:, None]
+            return mean_values
+        idx = lookup_idx(U)
+        if row_mode:
+            return values[0, idx]
+        if X.shape[1] == 1:
+            raise DimensionError(
+                f"values table has {values.shape[0]} rows, the request "
+                "covers 1 x-member"
+            )
+        if values.shape[0] != values.shape[1]:
+            raise DimensionError(
+                "per-pair evaluations need a single-row values file or a "
+                f"square table, got shape {values.shape}"
+            )
+        return values[idx, idx]
+
+    def value_mean(X, U):
         idx = lookup_idx(U)
         if row_mode:
             if X.shape[1] == 1:
-                return values[:, idx]
+                return values[0, idx]
             raise DimensionError(
                 "this estimator needs the full M-by-N value table, "
                 "got a single row"
@@ -351,10 +362,10 @@ def _values_objective(u_members, values, mu, mean_values):
                 f"values table has {values.shape[0]} rows, the request "
                 f"covers {X.shape[1]} x-members"
             )
-        return values[:, idx]
+        return values[:, idx].mean(axis=0)
 
-    return ObjectiveSpec(name="values", value=None, value_table=value_table,
-                         value_pairs=value_pairs)
+    return ObjectiveSpec(name="values", value=None, value_pairs=value_pairs,
+                         value_mean=value_mean)
 
 
 def _read_values_matrix(path):

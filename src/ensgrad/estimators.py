@@ -1,19 +1,26 @@
 """Ensemble gradient estimators behind one interface.
 
-Every estimator maps `(objective, X, U, spec)` to a `GradientEstimate`. `X`
-holds the uncertainty ensemble (one column per x-member), `U` the control
-ensemble. Regularisation and the preconditioned form (trailing `Ut^+`
-replaced by `Ut^T/(N-1)`, i.e. the gradient pre-multiplied by the sample
-control covariance) are handled uniformly through `EstimatorSpec`.
+Each estimator is written once, over stacks of trials: x-members `X`
+(..., dx, M) and controls `U` (..., du, N), as Ensembles with any leading
+trial axes, give gradient rows (L, ..., du) for a grid of L damping values,
+plus the evaluations charged per trial. `estimate()` is that call on one
+unstacked trial at one lambda; the benchmark harness makes it once per
+estimator and block of trials, with a `Batch` that lets the estimators of a
+block share their evaluations and the SVD of the control anomalies.
+Regularisation and the preconditioned form (trailing `Ut^+` replaced by
+`Ut^T/(N-1)`, i.e. the gradient pre-multiplied by the sample control
+covariance) are handled uniformly through `EstimatorSpec`.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateEnsembleError, DimensionError
-from .linalg import PinvConfig, sample_cross_cov, tikhonov_pinv
-from .sampling import decorrelate
+from .linalg import PinvConfig, damped_apply, damped_svd, sample_cross_cov
+from .sampling import Ensemble, decorrelate
 
 ESTIMATOR_IDS = (
     "plain_lls",
@@ -70,7 +77,8 @@ class GradientEstimate:
 
 class CountingObjective:
     """Wraps an ObjectiveSpec, counting distinct (x, u) evaluations and
-    caching repeated requests so lambda sweeps do not re-evaluate."""
+    caching repeated requests so lambda sweeps do not re-evaluate. The four
+    evaluation methods are the ObjectiveSpec's."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -78,13 +86,21 @@ class CountingObjective:
         self.grad_evals = 0
         self._cache = {}
 
-    def _lookup(self, kind, arrays, compute, charge, grad=False):
-        key = (kind,) + tuple((a.shape, a.tobytes()) for a in arrays)
+    def _lookup(self, kind, X, U):
+        X = np.ascontiguousarray(X, dtype=float)
+        U = np.ascontiguousarray(U, dtype=float)
+        key = (kind, X.shape, X.tobytes(), U.shape, U.tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = compute()
-        if grad:
+        out = getattr(self.spec, kind)(X, U)
+        # per trial, a table's M*N pairs or the members of two paired
+        # ensembles; then once per trial of a stack
+        m, n = X.shape[-1], U.shape[-1]
+        charge = m * n if kind.endswith("table") else max(m, n)
+        if X.ndim > 2 or U.ndim > 2:
+            charge *= math.prod(np.broadcast_shapes(X.shape[:-2], U.shape[:-2]))
+        if kind.startswith("grad"):
             self.grad_evals += charge
         else:
             self.evals += charge
@@ -92,256 +108,245 @@ class CountingObjective:
         return out
 
     def table(self, X, U):
-        """Values loss(x_m, u_n) for every pair, shape (M, N)."""
-        X = np.ascontiguousarray(X, dtype=float)
-        U = np.ascontiguousarray(U, dtype=float)
-
-        def compute():
-            if self.spec.value_table is not None:
-                return self.spec.value_table(X, U)
-            return np.array(
-                [[self.spec.value(x, u) for u in U.T] for x in X.T], dtype=float
-            )
-
-        return self._lookup("table", (X, U), compute, X.shape[1] * U.shape[1])
-
-    def row(self, x, U):
-        """Values loss(x, u_n) along one x, shape (N,)."""
-        return self.table(np.asarray(x, dtype=float)[:, None], U)[0]
-
-    def control_row(self, X, u):
-        """Values loss(x_m, u) at one control, shape (M,)."""
-        return self.table(X, np.asarray(u, dtype=float)[:, None])[:, 0]
+        """The value table averaged over x, (..., N)."""
+        return self._lookup("table", X, U)
 
     def pairs(self, X, U):
-        """Diagonal values loss(x_n, u_n), shape (N,)."""
-        X = np.ascontiguousarray(X, dtype=float)
-        U = np.ascontiguousarray(U, dtype=float)
-        if X.shape[1] != U.shape[1]:
-            raise DimensionError(
-                f"paired evaluation needs M == N, got M={X.shape[1]} N={U.shape[1]}"
-            )
-
-        def compute():
-            if self.spec.value_pairs is not None:
-                return self.spec.value_pairs(X, U)
-            return np.array(
-                [self.spec.value(x, u) for x, u in zip(X.T, U.T)], dtype=float
-            )
-
-        return self._lookup("pairs", (X, U), compute, U.shape[1])
+        """Values loss(x_n, u_n), (..., N)."""
+        return self._lookup("pairs", X, U)
 
     def grad_table(self, X, U):
-        """Analytic gradients for every pair, shape (du, M, N)."""
-        X = np.ascontiguousarray(X, dtype=float)
-        U = np.ascontiguousarray(U, dtype=float)
-        if self.spec.grad_u is None and self.spec.grad_u_table is None:
-            raise ValueError(f"objective {self.spec.name!r} has no analytic gradient")
-
-        def compute():
-            if self.spec.grad_u_table is not None:
-                return self.spec.grad_u_table(X, U)
-            cols = [
-                [self.spec.grad_u(x, u) for u in U.T] for x in X.T
-            ]  # (M, N, du)
-            return np.transpose(np.array(cols, dtype=float), (2, 0, 1))
-
-        return self._lookup(
-            "grad_table", (X, U), compute, X.shape[1] * U.shape[1], grad=True
-        )
+        """The analytic u-gradient averaged over the table, (..., du)."""
+        return self._lookup("grad_table", X, U)
 
     def grad_pairs(self, X, U):
-        """Analytic gradients along the diagonal only, shape (du, N)."""
-        X = np.ascontiguousarray(X, dtype=float)
-        U = np.ascontiguousarray(U, dtype=float)
-        if X.shape[1] != U.shape[1]:
-            raise DimensionError(
-                f"paired evaluation needs M == N, got M={X.shape[1]} N={U.shape[1]}"
-            )
-        if self.spec.grad_u is None:
-            raise ValueError(f"objective {self.spec.name!r} has no analytic gradient")
+        """Analytic u-gradients at (x_n, u_n), (..., du, N)."""
+        return self._lookup("grad_pairs", X, U)
+
+
+class Batch:
+    """x-members `X` and controls `U` (Ensembles, stacked or not) on an
+    objective, with what several estimators on them share, each computed
+    on first use. `objective` is an ObjectiveSpec or a CountingObjective."""
+
+    def __init__(self, objective, X, U):
+        self.obj, self.X, self.U = objective, X, U
+        self._memo = {}
+
+    def once(self, key, compute):
+        """`compute()`, evaluated on the first call with this key only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def values(self):
+        """loss(x_n, u_n), (..., N)."""
+        return self.once("values", lambda: self.obj.pairs(self.X.members, self.U.members))
+
+    def baseline(self):
+        """Values at the mean control, loss(x_m, mu), (..., M)."""
+        return self.once("baseline", lambda: self.obj.pairs(self.X.members,
+                                                             self.U.true_mean[..., None]))
+
+    def damped(self, lambdas):
+        """The control anomalies' `linalg.damped_svd` at `lambdas`."""
+        return self.once(("damped", lambdas), lambda: damped_svd(self.U.anomalies, lambdas))
+
+    def group_rows(self, nm):
+        """Each x-member's values on its own subsample of `nm` consecutive
+        controls, (..., M, nm)."""
 
         def compute():
-            return np.array(
-                [self.spec.grad_u(x, u) for x, u in zip(X.T, U.T)], dtype=float
-            ).T
+            rows = self.obj.pairs(np.repeat(self.X.members, nm, axis=-1), self.U.members)
+            return rows.reshape(rows.shape[:-1] + (self.X.n, nm))
 
-        return self._lookup("grad_pairs", (X, U), compute, U.shape[1], grad=True)
+        return self.once(("rows", nm), compute)
+
+    def group_anomalies(self, nm):
+        """The subsamples' anomalies about their own means, (..., M, d, nm)."""
+
+        def compute():
+            U = self.U.members
+            g = np.moveaxis(U.reshape(U.shape[:-1] + (self.X.n, nm)), -2, -3)
+            return g - g.mean(axis=-1, keepdims=True)
+
+        return self.once(("anomalies", nm), compute)
 
 
 def _as_counting(objective):
     return objective if isinstance(objective, CountingObjective) else CountingObjective(objective)
 
 
-def _require_paired(X, U, kind):
-    if X.n != U.n:
-        raise DimensionError(f"{kind} requires M == N, got M={X.n} N={U.n}")
+def _require_paired(b, kind):
+    if b.X.n != b.U.n:
+        raise DimensionError(f"{kind} requires M == N, got M={b.X.n} N={b.U.n}")
 
 
-def _require_recentred(U, kind):
-    if not U.recentred:
+def _require_paired_recentred(b, kind):
+    _require_paired(b, kind)
+    if not b.U.recentred:
         raise ValueError(f"{kind} requires a recentred control ensemble")
 
 
-def _apply_trail(row, anomalies, spec):
-    """`row @ Ut^+` (damped), or `row @ Ut^T/(N-1)` in preconditioned form."""
+def _each_lambda(grad, lambdas):
+    return np.repeat(grad[None], len(lambdas), axis=0)
+
+
+def _regress(row, b, spec, lambdas):
+    """`row @ Ut^+` (damped) at every lambda, or `row @ Ut^T/(N-1)` in
+    preconditioned form."""
     if spec.precondition:
-        return sample_cross_cov(row, anomalies)
-    return row @ tikhonov_pinv(anomalies, spec.pinv)
+        return _each_lambda(sample_cross_cov(row, b.U.anomalies), lambdas)
+    return damped_apply(row, b.damped(lambdas))
 
 
-def _groups(X, U, spec, kind):
-    """Consecutive control subsamples, one per x-member."""
-    nm = spec.subsample_size
-    if U.n != X.n * nm:
-        raise DimensionError(
-            f"{kind} needs M*subsample_size = {X.n}*{nm} controls, got {U.n}"
-        )
-    return [U.members[:, m * nm : (m + 1) * nm] for m in range(X.n)]
+def _plain_lls(b, spec, lambdas):
+    row = b.obj.table(b.X.members, b.U.members)
+    return _regress(row, b, spec, lambdas), b.X.n * b.U.n, 0
 
 
-def _finish(grad, spec, evals, cached=0):
-    if spec.charge_cached:
-        evals, cached = evals + cached, 0
-    return GradientEstimate(
-        grad=np.asarray(grad, dtype=float),
-        estimator=spec.kind,
-        lam=spec.pinv.lam,
-        evals=evals,
-        cached=cached,
-    )
+def _fragile(b, spec, lambdas):
+    row = b.obj.pairs(b.X.members.mean(axis=-1, keepdims=True), b.U.members)
+    return _regress(row, b, spec, lambdas), b.U.n, 0
 
 
-def _plain_lls(obj, X, U, spec):
-    row = obj.table(X.members, U.members).mean(axis=0)
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, X.n * U.n)
+def _paired(b, spec, lambdas):
+    _require_paired(b, "paired")
+    return _regress(b.values(), b, spec, lambdas), b.U.n, 0
 
 
-def _fragile(obj, X, U, spec):
-    row = obj.row(X.members.mean(axis=1), U.members)
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, U.n)
+def _stosag(b, spec, lambdas):
+    _require_paired_recentred(b, "stosag")
+    return _regress(b.values() - b.baseline(), b, spec, lambdas), b.U.n, b.X.n
 
 
-def _paired(obj, X, U, spec):
-    _require_paired(X, U, "paired")
-    row = obj.pairs(X.members, U.members)
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, U.n)
-
-
-def _stosag(obj, X, U, spec):
-    _require_paired(X, U, "stosag")
-    _require_recentred(U, "stosag")
-    row = obj.pairs(X.members, U.members) - obj.control_row(X.members, U.true_mean)
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, U.n, cached=X.n)
-
-
-def _one_sided(obj, X, U, spec):
+def _one_sided(b, spec, lambdas):
     """Mirrored two-sided form with the reflected values replaced by their
     linear extrapolation 2*loss(X, mu) - loss(X, U); collapses to stosag."""
-    _require_paired(X, U, "one_sided")
-    _require_recentred(U, "one_sided")
-    r_fwd = obj.pairs(X.members, U.members)
-    r_back = 2.0 * obj.control_row(X.members, U.true_mean) - r_fwd
-    row = 0.5 * (r_fwd - r_back)
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, U.n, cached=X.n)
+    _require_paired_recentred(b, "one_sided")
+    r_back = 2.0 * b.baseline() - b.values()
+    return _regress(0.5 * (b.values() - r_back), b, spec, lambdas), b.U.n, b.X.n
 
 
-def _mirrored2s(obj, X, U, spec):
-    _require_paired(X, U, "mirrored2s")
-    _require_recentred(U, "mirrored2s")
-    w = 2.0 * U.true_mean[:, None] - U.members
-    row = 0.5 * (obj.pairs(X.members, U.members) - obj.pairs(X.members, w))
-    return _finish(_apply_trail(row, U.anomalies, spec), spec, 2 * U.n)
+def _mirrored2s(b, spec, lambdas):
+    _require_paired_recentred(b, "mirrored2s")
+    w = 2.0 * b.U.true_mean[..., None] - b.U.members
+    row = 0.5 * (b.values() - b.obj.pairs(b.X.members, w))
+    return _regress(row, b, spec, lambdas), 2 * b.U.n, 0
 
 
-def _decorr(obj, X, U, spec):
-    _require_paired(X, U, "decorr")
-    _require_recentred(U, "decorr")
-    base = obj.control_row(X.members, U.true_mean)
-    psi = base - base.mean()
-    u_eff = decorrelate(U, psi) if psi @ psi > 0.0 else U
-    row = obj.pairs(X.members, u_eff.members)
-    return _finish(_apply_trail(row, u_eff.anomalies, spec), spec, U.n, cached=X.n)
+def _decorrelated(U, psi):
+    """U with each trial's anomalies decorrelated from its row of `psi`.
+    This goes through `decorrelate` trial by trial: its variance-restoring
+    rescale near rank collapse amplifies reassociation noise, so a
+    re-derived vectorisation would not reproduce the estimator bit for bit."""
+    members = U.members.copy()
+    for i in itertools.product(*map(range, psi.shape[:-1])):
+        if psi[i] @ psi[i] > 0.0:
+            trial = Ensemble(members=U.members[i], true_mean=U.true_mean, recentred=True)
+            members[i] = decorrelate(trial, psi[i]).members
+    return Ensemble(members=members, true_mean=U.true_mean, recentred=True)
 
 
-def _two_sided(obj, X, U, spec):
-    v = U.members[:, 0::2]
-    w = U.members[:, 1::2]
-    if v.shape[1] != w.shape[1] or v.shape[1] != X.n:
+def _decorr(b, spec, lambdas):
+    """Paired, on controls decorrelated from the baseline values."""
+    _require_paired_recentred(b, "decorr")
+    base = b.baseline()
+    psi = base - base.mean(axis=-1, keepdims=True)
+    dec = Batch(b.obj, b.X, _decorrelated(b.U, psi))
+    return _regress(dec.values(), dec, spec, lambdas), b.U.n, b.X.n
+
+
+def _two_sided(b, spec, lambdas):
+    """Antithetic value differences over the pair groups [v_m, w_m]."""
+    if b.U.n != 2 * b.X.n:
         raise DimensionError(
-            f"two_sided needs 2*M = {2 * X.n} controls laid out in pairs, got {U.n}"
+            f"two_sided needs 2*M = {2 * b.X.n} controls laid out in pairs, got {b.U.n}"
         )
-    diff = v - w
-    if np.any(np.linalg.norm(diff, axis=0) == 0.0):
+    diff = b.U.members[..., 0::2] - b.U.members[..., 1::2]
+    if np.any(np.linalg.norm(diff, axis=-2) == 0.0):
         raise DegenerateEnsembleError("two_sided: some pair has v == w")
-    row = obj.pairs(X.members, v) - obj.pairs(X.members, w)
+    rows = b.group_rows(2)
+    row = rows[..., 0] - rows[..., 1]
     if spec.precondition:
-        grad = row @ diff.T / (2 * X.n)
+        grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
     else:
-        grad = row @ tikhonov_pinv(diff, spec.pinv)
-    return _finish(grad, spec, 2 * X.n)
+        grad = damped_apply(row, damped_svd(diff, lambdas))
+    return grad, 2 * b.X.n, 0
 
 
-def _average_lls(obj, X, U, spec):
-    """Mean over x-members of each group's own regression gradient."""
+def _checked_groups(b, spec, kind):
     nm = spec.subsample_size
-    groups = _groups(X, U, spec, "average_lls")
-    lam = spec.pinv.lam
-    grads = []
-    for x, g in zip(X.members.T, groups):
-        row = obj.row(x, g)
-        anoms = g - g.mean(axis=1, keepdims=True)
-        if spec.precondition:
-            grads.append(sample_cross_cov(row, anoms))
-        elif nm == 2:
-            # rank-1 group: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
-            vt = anoms[:, 0]
-            nrm2 = vt @ vt
-            if nrm2 == 0.0:
-                raise DegenerateEnsembleError("average_lls: some pair has v == w")
-            grads.append((row[0] - row[1]) * vt / (2.0 * nrm2 * (1.0 + lam**2)))
-        else:
-            grads.append(row @ tikhonov_pinv(anoms, spec.pinv))
-    return _finish(np.mean(grads, axis=0), spec, U.n)
+    if b.U.n != b.X.n * nm:
+        raise DimensionError(
+            f"{kind} needs M*subsample_size = {b.X.n}*{nm} controls, got {b.U.n}"
+        )
+    return b.group_rows(nm), b.group_anomalies(nm)
 
 
-def _group_cross_moments(obj, X, U, spec, kind):
-    """Mean per-group cross-covariance and control covariance."""
-    groups = _groups(X, U, spec, kind)
-    c_sum = np.zeros(U.dim)
-    cov_sum = np.zeros((U.dim, U.dim))
-    for x, g in zip(X.members.T, groups):
-        row = obj.row(x, g)
-        anoms = g - g.mean(axis=1, keepdims=True)
-        c_sum += row @ anoms.T / (anoms.shape[1] - 1)
-        cov_sum += anoms @ anoms.T / (anoms.shape[1] - 1)
-    return c_sum / X.n, cov_sum / X.n
-
-
-def _gen_stosag(obj, X, U, spec):
-    c_mean, cov_mean = _group_cross_moments(obj, X, U, spec, "gen_stosag")
+def _average_lls(b, spec, lambdas):
+    """Mean over x-members of each group's own regression gradient."""
+    rows, anoms = _checked_groups(b, spec, "average_lls")
     if spec.precondition:
-        return _finish(c_mean, spec, U.n)
-    return _finish(c_mean @ tikhonov_pinv(cov_mean, spec.pinv), spec, U.n)
+        return _each_lambda(sample_cross_cov(rows, anoms).mean(axis=-2), lambdas), b.U.n, 0
+    if spec.subsample_size > 2:
+        return damped_apply(rows, damped_svd(anoms, lambdas)).mean(axis=-2), b.U.n, 0
+    # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
+    vt = anoms[..., 0]
+    nrm2 = (vt * vt).sum(axis=-1)
+    if np.any(nrm2 == 0.0):
+        raise DegenerateEnsembleError("average_lls: some pair has v == w")
+    grad = ((rows[..., 0] - rows[..., 1])[..., None] * vt / (2.0 * nrm2[..., None])).mean(axis=-2)
+    return np.stack([grad / (1.0 + lam**2) for lam in lambdas]), b.U.n, 0
 
 
-def _hybrid(obj, X, U, spec):
+def _group_cross_moments(b, spec, kind):
+    """Mean per-group cross-covariance and control covariance, shared by
+    gen_stosag and hybrid. The sums run over the groups' j-th members, as
+    contiguous (..., d, M) arrays, one j at a time: at M = d the covariance
+    is near singular, and at lambda = 0 its inverse amplifies any change of
+    summation order."""
+    rows, anoms = _checked_groups(b, spec, kind)
+
+    def compute():
+        c = cov = 0.0
+        for j in range(spec.subsample_size):
+            a = np.ascontiguousarray(np.moveaxis(anoms[..., j], -1, -2))
+            c = c + np.einsum("...m,...dm->...d", rows[..., j], a)
+            cov = cov + np.einsum("...dm,...em->...de", a, a)
+        scale = (spec.subsample_size - 1) * b.X.n
+        return c / scale, cov / scale
+
+    return b.once(("moments", spec.subsample_size), compute)
+
+
+def _gen_stosag(b, spec, lambdas):
+    c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
+    if spec.precondition:
+        return _each_lambda(c_mean, lambdas), b.U.n, 0
+    return damped_apply(c_mean, damped_svd(cov_mean, lambdas)), b.U.n, 0
+
+
+def _hybrid(b, spec, lambdas):
     """Per-group cross-covariances against the pooled control covariance."""
-    c_mean, _ = _group_cross_moments(obj, X, U, spec, "hybrid")
+    c_mean, _ = _group_cross_moments(b, spec, "hybrid")
     if spec.precondition:
-        return _finish(c_mean, spec, U.n)
-    pooled = U.anomalies
-    cov_pool = pooled @ pooled.T / (U.n - 1)
-    return _finish(c_mean @ tikhonov_pinv(cov_pool, spec.pinv), spec, U.n)
+        return _each_lambda(c_mean, lambdas), b.U.n, 0
+    pooled = b.U.anomalies
+    # matmul: this covariance has a near-null tail that amplifies any
+    # last-bit difference at lambda = 0
+    cov_pool = pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
+    return damped_apply(c_mean, damped_svd(cov_pool, lambdas)), b.U.n, 0
 
 
-def _avg_grad(obj, X, U, spec):
+def _avg_grad(b, spec, lambdas):
     """Average of analytic conditional gradients; no regression involved."""
+    X, U = b.X, b.U
     if spec.avg_grad_diagonal:
-        _require_paired(X, U, "avg_grad (diagonal pairing)")
-        return _finish(obj.grad_pairs(X.members, U.members).mean(axis=1), spec, U.n)
-    table = obj.grad_table(X.members, U.members)
-    return _finish(table.mean(axis=(1, 2)), spec, X.n * U.n)
+        _require_paired(b, "avg_grad (diagonal pairing)")
+        grad = b.obj.grad_pairs(X.members, U.members).mean(axis=-1)
+        return _each_lambda(grad, lambdas), U.n, 0
+    return _each_lambda(b.obj.grad_table(X.members, U.members), lambdas), X.n * U.n, 0
 
 
 _DISPATCH = {
@@ -360,9 +365,22 @@ _DISPATCH = {
 }
 
 
+def estimate_batch(batch, spec, lambdas=None):
+    """Run one estimator on a Batch at every lambda of `lambdas` (default:
+    the spec's own): gradient rows (L, ..., du), and the evaluations (new,
+    cached) charged per trial."""
+    if lambdas is None:
+        lambdas = (spec.pinv.lam,)
+    grads, evals, cached = _DISPATCH[spec.kind](batch, spec, lambdas)
+    if spec.charge_cached:
+        evals, cached = evals + cached, 0
+    return grads, evals, cached
+
+
 def estimate(objective, X, U, spec):
-    """Run one estimator: `objective` is an ObjectiveSpec (or an already
-    counting wrapper), `X`/`U` are Ensembles, `spec` selects and configures
-    the estimator."""
-    obj = _as_counting(objective)
-    return _DISPATCH[spec.kind](obj, X, U, spec)
+    """Run one estimator on one trial: `objective` is an ObjectiveSpec (or
+    an already counting wrapper), `X`/`U` are Ensembles, `spec` selects and
+    configures the estimator."""
+    grads, evals, cached = estimate_batch(Batch(_as_counting(objective), X, U), spec)
+    return GradientEstimate(grad=grads[0], estimator=spec.kind, lam=spec.pinv.lam,
+                            evals=evals, cached=cached)

@@ -3,17 +3,14 @@
 Repeats, over many independent trials, the estimation of the expected
 gradient of a separable Hermite objective under Gaussian control and
 uncertainty ensembles, then aggregates signed per-dimension errors into
-RMSE/bias tables over a regularisation grid. `run_trial` is the plain
-reference path (a composition of the public estimator functions);
-`run_bench` runs blocks of trials through a vectorised kernel, which is what
-makes desk-scale trial counts affordable on one core. A test pins the two
-paths together. The kernel
-- stacks a block's trials on a leading axis and batches their SVDs, with
-  each SVD's damped singular values computed once for every lambda;
-- reduces the M x N evaluations of `plain_lls` and `avg_grad` to member
-  means of `He_k(x)` and powers of `u`, by the binomial identity
-  `He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k)`;
-- takes the truth in closed form (`objectives.hermite_expected_grad`).
+RMSE/bias tables over a regularisation grid. `run_bench` stacks a block's
+trials on a leading axis (in sub-batches of bounded size) and makes one
+`estimate_batch` call per estimator and sub-batch, over the whole lambda
+grid; the estimators share the sub-batch's evaluations and the SVD of its
+control anomalies through one `Batch`.
+`run_trial` is the plain composition of per-call `estimate()`s, one trial
+and one lambda at a time, which the tests pin the blocks against. The truth
+is in closed form (`objectives.hermite_expected_grad`).
 
 Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
@@ -29,16 +26,17 @@ from .errors import DimensionError
 from .estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
+    Batch,
     CountingObjective,
     EstimatorSpec,
     estimate,
+    estimate_batch,
 )
-from .linalg import RANK_RTOL, PinvConfig
+from .linalg import PinvConfig
 from .objectives import (
     hermite_expected_grad,
     hermite_expected_grad_dist,
     hermite_objective,
-    hermite_value,
     rastrigin_blurred,
     rastrigin_eval,
 )
@@ -201,42 +199,8 @@ def merge_stats(into, other):
     return into
 
 
-def eval_contract(estimator, m, n):
-    """Per-trial evaluation charges (new, cached) for each estimator given
-    M x-members and N controls (the subsampled family sees 2M controls)."""
-    return {
-        "plain_lls": (m * n, 0),
-        "fragile": (n, 0),
-        "paired": (n, 0),
-        "stosag": (n, m),
-        "average_lls": (2 * m, 0),
-        "gen_stosag": (2 * m, 0),
-        "hybrid": (2 * m, 0),
-        "two_sided": (2 * m, 0),
-        "mirrored2s": (2 * n, 0),
-        "one_sided": (n, m),
-        "decorr": (n, m),
-        "avg_grad": (m * n, 0),
-    }[estimator]
-
-
-def _charged(cfg, estimator, m, n):
-    ev, ca = eval_contract(estimator, m, n)
-    return (ev + ca, 0) if cfg.charge_cached else (ev, ca)
-
-
-def _skip_reasons(cfg, m, n):
-    """Estimators that cannot run at (M, N), with reasons."""
-    skips = {}
-    if m != n:
-        for est in ("paired", "stosag", "mirrored2s", "one_sided", "decorr"):
-            if est in cfg.estimators:
-                skips[est] = f"requires M == N, got M={m} N={n}"
-    return skips
-
-
 # ---------------------------------------------------------------------------
-# Reference trial path.
+# Trials: draws, truth, and the per-call reference composition.
 
 
 @dataclass
@@ -280,23 +244,26 @@ def trial_truth(cfg, order, x_members):
     return hermite_expected_grad(order, x_members, cfg.u_spec())
 
 
+def _ensembles(factors, x, u, vw):
+    """Ensembles of drawn x-members and recentred controls (stacked or
+    not); `vw` is the pooled control ensemble of the subsampled family."""
+    x_spec, _, u_spec, _ = factors
+    return (Ensemble(members=x, true_mean=x_spec.mean),
+            Ensemble(members=u, true_mean=u_spec.mean, recentred=True),
+            None if vw is None else Ensemble(members=vw, true_mean=u_spec.mean, recentred=True))
+
+
 def run_trial(cfg, order, n, trial_index):
-    """One benchmark trial through the public estimator functions: returns
-    signed per-dimension errors for every configured estimator at every
-    lambda, reusing the trial's ensembles and cached evaluations."""
+    """One benchmark trial through per-call `estimate()`s, one lambda at a
+    time: returns signed per-dimension errors for every configured
+    estimator at every lambda, reusing the trial's ensembles and cached
+    evaluations."""
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     factors = _draw_factors(cfg)
     x, u, vw = _draw_trial(cfg, factors, n, trial_index, need_vw)
-    x_spec, _, u_spec, _ = factors
-    u_mean = u_spec.mean
-    x_ens = Ensemble(members=x, true_mean=x_spec.mean)
-    u_ens = Ensemble(members=u, true_mean=u_mean, recentred=True)
-    vw_ens = (
-        Ensemble(members=vw, true_mean=u_mean, recentred=True) if vw is not None else None
-    )
+    x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
     obj = CountingObjective(hermite_objective(order, cfg.dims))
     truth = trial_truth(cfg, order, x)
-    m = cfg.m_members or n
 
     errors, skips, evals = {}, {}, {}
     for est in cfg.estimators:
@@ -317,203 +284,42 @@ def run_trial(cfg, order, n, trial_index):
     return TrialOutcome(errors=errors, skips=skips, evals=evals, truth=truth)
 
 
-def _accumulate_reference(cfg, order, n, lo, hi):
-    stats, skips = {}, {}
-    m = cfg.m_members or n
-    for trial in range(lo, hi):
-        out = run_trial(cfg, order, n, trial)
-        skips.update(out.skips)
-        for est, rows in out.errors.items():
-            for i, lam in enumerate(cfg.lambda_grid):
-                key = (est, order, n, lam)
-                if key not in stats:
-                    stats[key] = ErrorStats.empty(cfg.dims, *_charged(cfg, est, m, n))
-                stats[key].add_block(rows[i][None, :])
-    return stats, skips
-
-
-# ---------------------------------------------------------------------------
-# Vectorised block path: trials stacked on a leading axis, SVDs batched.
-
-
-def _member_hermite_means(order, x):
-    """`mean_m He_k(x[..., m])` for k = 0..order: (order+1, *x.shape[:-1])."""
-    out = np.empty((order + 1,) + x.shape[:-1])
-    out[0] = 1.0
-    h_prev, h = np.ones_like(x), x
-    for k in range(order):
-        if k:
-            h, h_prev = x * h - k * h_prev, h
-        out[k + 1] = h.mean(axis=-1)
-    return out
-
-
-def _damped_coeff(s, lam):
-    """Per-trial damped reciprocal singular values, (T, K)."""
-    s1 = s[..., :1]
-    if lam == 0.0:
-        keep = s > RANK_RTOL * s1
-        return np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = s / (s**2 + (lam * s1) ** 2)
-    return np.where(s1 > 0, out, 0.0)
-
-
-def _damped_svd(a, lambdas):
-    """Batched SVD of a (T, d, K) stack with its damped reciprocal singular
-    values at every lambda: (U, coeffs (L, T, K), Vt). The coefficients are
-    shared by every row applied to the same stack."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u, np.stack([_damped_coeff(s, lam) for lam in lambdas]), vt
-
-
-def _apply_damped(row, damped):
-    """row (T, K) times the damped pseudo-inverse at every lambda, (L, T, d)."""
-    u, coeffs, vt = damped
-    z = np.einsum("tn,tkn->tk", row, vt)
-    return np.einsum("ltk,tdk->ltd", z * coeffs, u)
-
-
 def _block_batch_size(dims, m, n):
     return max(1, min(512, int(2.0e6 // max(1, dims * m * n))))
 
 
-def _run_block_fast(cfg, order, n, lo, hi):
-    """ErrorStats for trials [lo, hi) of one (order, N) cell."""
-    dims = cfg.dims
+def _run_block(cfg, order, n, lo, hi):
+    """ErrorStats and skip reasons for trials [lo, hi) of one (order, N)
+    cell: trials stacked in sub-batches, one `estimate_batch` call per
+    estimator and sub-batch over the whole lambda grid."""
     m = cfg.m_members or n
     factors = _draw_factors(cfg)
-    _, _, u_spec, _ = factors
-    mu = u_spec.mean
-    skips = _skip_reasons(cfg, m, n)
-    ests = [e for e in cfg.estimators if e not in skips]
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
-    lambdas = cfg.lambda_grid
-
-    stats = {
-        (est, order, n, lam): ErrorStats.empty(dims, *_charged(cfg, est, m, n))
-        for est in ests
-        for lam in lambdas
-    }
-    if not ests:
-        return stats, skips
-
-    paired_ids = {"paired", "stosag", "one_sided", "mirrored2s", "decorr"}
-    step = _block_batch_size(dims, m, n)
+    objective = hermite_objective(order, cfg.dims)
+    stats, skips = {}, {}
+    step = _block_batch_size(cfg.dims, m, n)
     for blo in range(lo, hi, step):
-        bhi = min(blo + step, hi)
-        xs, us, vws = [], [], []
-        for trial in range(blo, bhi):
-            x, u, vw = _draw_trial(cfg, factors, n, trial, need_vw)
-            xs.append(x)
-            us.append(u)
-            vws.append(vw)
-        x = np.stack(xs)  # (T, d, M)
-        u = np.stack(us)  # (T, d, N)
-        vw = np.stack(vws) if need_vw else None
+        draws = [_draw_trial(cfg, factors, n, t, need_vw) for t in range(blo, min(blo + step, hi))]
+        x, u = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+        vw = np.stack([d[2] for d in draws]) if need_vw else None
+        x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
+        batches = {False: Batch(objective, x_ens, u_ens), True: Batch(objective, x_ens, vw_ens)}
         truth = trial_truth(cfg, order, x)  # (T, d)
-
-        def record(est, grads):
-            """grads: (L, T, d), one estimate per lambda and trial."""
-            for lam, grad in zip(lambdas, grads):
-                stats[(est, order, n, lam)].add_block(grad - truth)
-
-        rows = {}
-        if "plain_lls" in ests or "avg_grad" in ests:
-            # He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k): the member mean
-            # moves inside, so no (T, d, M, N) table is formed
-            he_bar = _member_hermite_means(order, x)[..., None]  # (order+1, T, d, 1)
-        if "plain_lls" in ests:
-            acc = np.broadcast_to(he_bar[0], u.shape)
-            for k in range(1, order + 1):
-                acc = acc * u + math.comb(order, k) * he_bar[k]
-            rows["plain_lls"] = acc.sum(axis=1)  # (T, N)
-        if "avg_grad" in ests:
-            grad_mean = np.zeros(truth.shape)
-            u_pow = np.ones_like(u)
-            for k in range(order - 1, -1, -1):
-                grad_mean += math.comb(order - 1, k) * he_bar[k, ..., 0] * u_pow.mean(axis=2)
-                u_pow = u_pow * u
-            grad_mean *= order
-        if "fragile" in ests:
-            xbar = x.mean(axis=2)
-            rows["fragile"] = hermite_value(order, xbar[:, :, None] + u).sum(axis=1)
-        if paired_ids & set(ests):
-            r_fwd = hermite_value(order, x + u).sum(axis=1)  # (T, N)
-        if {"stosag", "one_sided", "decorr"} & set(ests):
-            base = hermite_value(order, x + mu[None, :, None]).sum(axis=1)  # (T, M)
-        if "stosag" in ests:
-            rows["stosag"] = r_fwd - base
-        if "one_sided" in ests:
-            rows["one_sided"] = 0.5 * (r_fwd - (2.0 * base - r_fwd))
-        if "paired" in ests:
-            rows["paired"] = r_fwd
-        if "mirrored2s" in ests:
-            w_members = 2.0 * mu[None, :, None] - u
-            r_back = hermite_value(order, x + w_members).sum(axis=1)
-            rows["mirrored2s"] = 0.5 * (r_fwd - r_back)
-
-        if rows:
-            damped_u = _damped_svd(u - u.mean(axis=2, keepdims=True), lambdas)
-            for est, row in rows.items():
-                record(est, _apply_damped(row, damped_u))
-
-        if "decorr" in ests:
-            # member construction goes through the reference routine per
-            # trial: the variance-restoring rescale near rank collapse
-            # amplifies reassociation noise, so a re-derived vectorisation
-            # would not reproduce the estimator bit-for-bit
-            u_eff = np.empty_like(u)
-            for i in range(x.shape[0]):
-                psi = base[i] - base[i].mean()
-                if psi @ psi > 0.0:
-                    ens = Ensemble(members=u[i], true_mean=mu, recentred=True)
-                    u_eff[i] = decorrelate(ens, psi).members
-                else:
-                    u_eff[i] = u[i]
-            r_dec = hermite_value(order, x + u_eff).sum(axis=1)
-            dec_anoms = u_eff - u_eff.mean(axis=2, keepdims=True)
-            record("decorr", _apply_damped(r_dec, _damped_svd(dec_anoms, lambdas)))
-
-        if "avg_grad" in ests:
-            record("avg_grad", [grad_mean] * len(lambdas))
-
-        sub_ests = [e for e in SUBSAMPLED_IDS if e in ests]
-        if sub_ests:
-            v = vw[:, :, 0::2]
-            w = vw[:, :, 1::2]
-            r_v = hermite_value(order, x + v).sum(axis=1)
-            r_w = hermite_value(order, x + w).sum(axis=1)
-            d_row = r_v - r_w  # (T, M)
-            # per-group anomalies about the group sample mean, as the
-            # per-group estimators compute them (not the shortcut (v-w)/2,
-            # which differs by the mean's rounding residual)
-            gmean = 0.5 * (v + w)
-            vt = v - gmean
-            wt = w - gmean
-            if "two_sided" in ests:
-                record("two_sided", _apply_damped(d_row, _damped_svd(v - w, lambdas)))
-            if "average_lls" in ests:
-                nrm2 = np.einsum("tdm,tdm->tm", vt, vt)
-                base_grad = np.einsum("tm,tdm->td", d_row / (2.0 * nrm2), vt) / m
-                record("average_lls", [base_grad / (1.0 + lam**2) for lam in lambdas])
-            if "gen_stosag" in ests or "hybrid" in ests:
-                c_mean = (
-                    np.einsum("tm,tdm->td", r_v, vt) + np.einsum("tm,tdm->td", r_w, wt)
-                ) / m
-            if "gen_stosag" in ests:
-                cov_mean = (
-                    np.einsum("tdm,tem->tde", vt, vt) + np.einsum("tdm,tem->tde", wt, wt)
-                ) / m
-                record("gen_stosag", _apply_damped(c_mean, _damped_svd(cov_mean, lambdas)))
-            if "hybrid" in ests:
-                pooled = vw - vw.mean(axis=2, keepdims=True)
-                # matmul, not einsum: bitwise-matches the plain `P @ P.T`
-                # route, and this covariance has a near-null tail that
-                # amplifies any last-bit difference at lambda = 0
-                cov_pool = np.matmul(pooled, pooled.transpose(0, 2, 1)) / (2 * m - 1)
-                record("hybrid", _apply_damped(c_mean, _damped_svd(cov_pool, lambdas)))
-
+        for est in cfg.estimators:
+            if est in skips:
+                continue
+            spec = EstimatorSpec(kind=est, charge_cached=cfg.charge_cached)
+            try:
+                grads, evals, cached = estimate_batch(
+                    batches[est in SUBSAMPLED_IDS], spec, cfg.lambda_grid)
+            except (ValueError, DimensionError) as e:  # includes degenerate pairs
+                skips[est] = str(e)
+                continue
+            for lam, grad in zip(cfg.lambda_grid, grads):
+                key = (est, order, n, lam)
+                if key not in stats:
+                    stats[key] = ErrorStats.empty(cfg.dims, evals, cached)
+                stats[key].add_block(grad - truth)
     return stats, skips
 
 
@@ -540,14 +346,10 @@ def _bench_tasks(cfg, blocks_per_cell):
 
 
 def _run_task(args):
-    cfg, order, n, lo, hi, reference = args
-    if reference:
-        return _accumulate_reference(cfg, order, n, lo, hi)
-    return _run_block_fast(cfg, order, n, lo, hi)
+    return _run_block(*args)
 
 
-def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, reference=False,
-              progress=None):
+def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=None):
     """Run the full benchmark grid. Results are identical (to accumulation
     roundoff) for any `workers`, because partial stats are folded in task
     order, not completion order."""
@@ -556,7 +358,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, reference=F
     cfg.validate()
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
-    args = [(cfg, order, n, lo, hi, reference) for order, n, lo, hi in tasks]
+    args = [(cfg, order, n, lo, hi) for order, n, lo, hi in tasks]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_run_task, args, chunksize=1))

@@ -2,7 +2,9 @@
 
 Notation: a matrix `U` holds one ensemble member per column, `Ut` (U-tilde)
 its column anomalies. Everything here is a pure function of ndarray inputs;
-the estimators are thin compositions of these.
+the estimators are thin compositions of these. `svd`, `damped_svd` and
+`damped_apply` also take stacks of matrices on leading axes, one per
+benchmark trial.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ from .errors import DimensionError, InsufficientSampleError
 
 # Relative singular-value cutoff for plain (lam=0) pseudo-inversion.
 RANK_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -46,31 +49,55 @@ def _svd_of_bytes(buf, shape):
     return u, s, vt
 
 
-def _svd(a):
-    """SVD with a small cache, so lambda sweeps over one matrix factor once.
+def svd(a):
+    """Thin SVD `(u, s, vt)` of a matrix or of a (..., m, k) stack.
 
-    Returned arrays are shared and read-only.
-    """
+    A single matrix goes through a small cache, so lambda sweeps over one
+    matrix factor it once; its arrays are shared and read-only. Stacks are
+    factored directly: the estimators of a benchmark block share its
+    factorizations through their `estimators.Batch`, and caching
+    block-sized stacks would only hold on to their memory."""
     a = np.ascontiguousarray(a, dtype=float)
+    if a.ndim > 2:
+        return np.linalg.svd(a, full_matrices=False)
     return _svd_of_bytes(a.tobytes(), a.shape)
 
 
+def _damped(s, lam):
+    """Damped reciprocals of singular values s (..., k): `s/(s^2 +
+    (lam*s1)^2)`, or at `lam=0` the Moore-Penrose reciprocals with values
+    below `RANK_RTOL*s1` truncated. A zero spectrum gives zeros."""
+    s1 = s[..., :1]
+    if lam == 0.0:
+        keep = s > RANK_RTOL * s1
+        return keep / np.where(keep, s, 1.0)
+    return s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
+
+
 def tikhonov_pinv(a, cfg=PinvConfig()):
-    """Damped pseudo-inverse via SVD: singular values `s` become
-    `s/(s^2 + (lam*s1)^2)`. At `lam=0` this is the Moore-Penrose inverse
-    with singular values below `RANK_RTOL*s1` truncated."""
+    """Damped pseudo-inverse via SVD (`_damped` gives the singular values).
+    At `lam=0` this is the Moore-Penrose inverse with singular values below
+    `RANK_RTOL*s1` truncated."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    u, s, vt = _svd(a)
-    s1 = s[0]
-    if s1 == 0.0:  # zero matrix
-        return np.zeros((a.shape[1], a.shape[0]))
-    if cfg.lam == 0.0:
-        d = np.where(s > RANK_RTOL * s1, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    else:
-        d = s / (s**2 + (cfg.lam * s1) ** 2)
-    return (vt.T * d) @ u.T
+    u, s, vt = svd(a)
+    return (vt.T * _damped(s, cfg.lam)) @ u.T
+
+
+def damped_svd(a, lambdas):
+    """SVD of a matrix or (..., m, k) stack with its damped reciprocal
+    singular values at every lambda: (u, coeffs (L, ..., k), vt)."""
+    u, s, vt = svd(a)
+    return u, np.array([_damped(s, lam) for lam in lambdas]), vt
+
+
+def damped_apply(row, damped):
+    """`row @ a^+` at every lambda, shape (L, ..., m), for rows (..., k)
+    and `damped = damped_svd(a, lambdas)`: the rows are projected once, and
+    only the damped singular values differ per lambda."""
+    u, coeffs, vt = damped
+    return (u @ (coeffs[..., None] * (vt @ row[..., None])))[..., 0]
 
 
 def sample_cross_cov(values, anomalies):
@@ -88,7 +115,7 @@ def sample_cross_cov(values, anomalies):
         raise DimensionError(
             f"values have {values.shape[-1]} columns but anomalies have {n}"
         )
-    return values @ anomalies.T / (n - 1)
+    return (anomalies @ values[..., None])[..., 0] / (n - 1)
 
 
 def uncentred_cross_cov(values, members, mu):

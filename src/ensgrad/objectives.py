@@ -4,6 +4,7 @@ known gradient. Each comes with analytic gradients and, where meaningful,
 the exact expected gradient used as benchmark truth.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -106,48 +107,133 @@ def hermite_expected_grad_dist(order, x_spec, u_spec):
     return order * _scaled_hermite(order - 1, a, shrink)
 
 
+def _columns(X, U):
+    """Member rows of X (..., dx, K) and U (..., du, K) broadcast against
+    each other, as (P, dx) and (P, du), plus the output shape (..., K)."""
+    lead = np.broadcast_shapes(X.shape[:-2], U.shape[:-2])
+    k = np.broadcast_shapes(X.shape[-1:], U.shape[-1:])
+    X = np.broadcast_to(X, lead + X.shape[-2:-1] + k)
+    U = np.broadcast_to(U, lead + U.shape[-2:-1] + k)
+    rows = [np.moveaxis(a, -1, -2).reshape(-1, a.shape[-2]) for a in (X, U)]
+    return rows[0], rows[1], lead + k
+
+
+def _each_member(X):
+    """X (..., d, M) as M one-member ensembles on a new axis: (..., M, d, 1)."""
+    return np.moveaxis(X, -1, -2)[..., None]
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A conditional objective `loss(x, u)` with optional extras.
 
-    `value` is the scalar evaluation; the vectorised kernels, when present,
-    must agree with it elementwise. `expected_grad(x_members, u_spec)` is
-    the truth oracle for benchmark error measurement."""
+    `value` is the scalar evaluation and `grad_u` its analytic u-gradient;
+    `expected_grad(x_members, u_spec)` is the truth oracle for benchmark
+    error measurement. The optional kernels, which must agree with `value`
+    and `grad_u`, take x-members (..., dx, M) and controls (..., du, N) with
+    leading trial axes that broadcast:
+    - `value_pairs(X, U)`: values loss(x_n, u_n), (..., N), M == N or one
+      of the two a single member;
+    - `value_mean(X, U)`: the M x N value table averaged over x, (..., N);
+    - `grad_mean(X, U)`: the u-gradient averaged over the table, (..., du).
+    The methods below fall back on `value` and `grad_u` without them."""
 
     name: str
     value: Callable
     grad_u: Optional[Callable] = None
     expected_grad: Optional[Callable] = None
-    value_table: Optional[Callable] = None  # (X(d,M), U(d,N)) -> (M, N)
-    value_pairs: Optional[Callable] = None  # (X(d,N), U(d,N)) -> (N,)
-    grad_u_table: Optional[Callable] = None  # (X, U) -> (du, M, N)
+    value_pairs: Optional[Callable] = None
+    value_mean: Optional[Callable] = None
+    grad_mean: Optional[Callable] = None
+
+    def pairs(self, X, U):
+        """Values loss(x_n, u_n), (..., N)."""
+        if self.value_pairs is not None:
+            return self.value_pairs(X, U)
+        xs, us, shape = _columns(X, U)
+        return np.array([self.value(x, u) for x, u in zip(xs, us)], dtype=float).reshape(shape)
+
+    def table(self, X, U):
+        """The value table loss(x_m, u_n) averaged over x, (..., N)."""
+        if self.value_mean is not None:
+            return self.value_mean(X, U)
+        return self.pairs(_each_member(X), U[..., None, :, :]).mean(axis=-2)
+
+    def grad_pairs(self, X, U):
+        """Analytic u-gradients at (x_n, u_n), (..., du, N)."""
+        if self.grad_u is None:
+            raise ValueError(f"objective {self.name!r} has no analytic gradient")
+        xs, us, shape = _columns(X, U)
+        g = np.array([self.grad_u(x, u) for x, u in zip(xs, us)], dtype=float)
+        return np.moveaxis(g.reshape(shape + g.shape[-1:]), -1, -2)
+
+    def grad_table(self, X, U):
+        """The analytic u-gradient averaged over every (x_m, u_n), (..., du)."""
+        if self.grad_mean is not None:
+            return self.grad_mean(X, U)
+        return self.grad_pairs(_each_member(X), U[..., None, :, :]).mean(axis=(-3, -1))
+
+
+def _member_means(order, X):
+    """`mean_m He_k(x_m)` for k = 0..order, (order+1, ..., d, 1)."""
+    out = np.empty((order + 1,) + X.shape[:-1] + (1,))
+    out[0] = 1.0
+    h_prev, h = np.ones_like(X), X
+    for k in range(order):
+        if k:
+            h, h_prev = X * h - k * h_prev, h
+        out[k + 1] = h.mean(axis=-1, keepdims=True)
+    return out
+
+
+# Tables of at most this many entries are formed directly: below it, the
+# binomial form's extra numpy calls cost more than the entries they save.
+_SMALL_TABLE = 4096
 
 
 def hermite_objective(order, dims=5):
-    """Separable Hermite benchmark objective in `dims` dimensions."""
+    """Separable Hermite benchmark objective in `dims` dimensions.
+
+    Its table means do not form a large M x N table: by the binomial
+    identity `He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k)` the x-member mean
+    moves inside the sum, onto `He_k(x)`, and the control mean onto
+    `u^(n-k)`."""
     _check_order(order)
 
-    def value_table(X, U):
-        t = X[:, :, None] + U[:, None, :]
-        return hermite_value(order, t).sum(axis=0)
+    def table(X, U, k):
+        return hermite_value(k, X[..., :, :, None] + U[..., :, None, :])  # (..., d, M, N)
 
     def value_pairs(X, U):
-        return hermite_value(order, X + U).sum(axis=0)
+        return hermite_value(order, X + U).sum(axis=-2)
 
-    def grad_u_table(X, U):
-        if order == 0:
-            return np.zeros((X.shape[0], X.shape[1], U.shape[1]))
-        t = X[:, :, None] + U[:, None, :]
-        return order * hermite_value(order - 1, t)
+    def value_mean(X, U):
+        if X.shape[-1] * U.size <= _SMALL_TABLE:
+            return table(X, U, order).sum(axis=-3).mean(axis=-2)
+        he = _member_means(order, X)
+        acc = he[0] * np.ones_like(U)
+        for k in range(1, order + 1):  # Horner in u
+            acc = acc * U + math.comb(order, k) * he[k]
+        return acc.sum(axis=-2)
+
+    def grad_mean(X, U):
+        if X.shape[-1] * U.size <= _SMALL_TABLE:
+            return order * table(X, U, max(order - 1, 0)).mean(axis=(-2, -1))
+        he = _member_means(order, X)[..., 0]
+        grad = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1]))
+        u_pow = np.ones_like(U)
+        for k in range(order - 1, -1, -1):
+            grad += math.comb(order - 1, k) * he[k] * u_pow.mean(axis=-1)
+            u_pow = u_pow * U
+        return order * grad
 
     return ObjectiveSpec(
         name=f"hermite{order}",
         value=lambda x, u: hermite_eval(order, x, u),
         grad_u=lambda x, u: hermite_grad_u(order, x, u),
         expected_grad=lambda X, u_spec: hermite_expected_grad(order, X, u_spec),
-        value_table=value_table,
         value_pairs=value_pairs,
-        grad_u_table=grad_u_table,
+        value_mean=value_mean,
+        grad_mean=grad_mean,
     )
 
 
@@ -203,26 +289,15 @@ def bilinear_objective(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def value_table(X, U):
-        ax = (a @ X).sum(axis=0)
-        bu = (b @ U).sum(axis=0)
-        return ax[:, None] + bu[None, :]
-
     def value_pairs(X, U):
-        return (a @ X).sum(axis=0) + (b @ U).sum(axis=0)
-
-    def grad_u_table(X, U):
-        g = b.sum(axis=0)
-        return np.broadcast_to(g[:, None, None], (g.size, X.shape[1], U.shape[1]))
+        return (a @ X).sum(axis=-2) + (b @ U).sum(axis=-2)
 
     return ObjectiveSpec(
         name="bilinear",
         value=lambda x, u: bilinear_eval(a, b, x, u),
         grad_u=lambda x, u: bilinear_grad(b),
         expected_grad=lambda X, u_spec: bilinear_grad(b),
-        value_table=value_table,
         value_pairs=value_pairs,
-        grad_u_table=grad_u_table,
     )
 
 

@@ -69,7 +69,8 @@ class Ensemble:
 
     `recentred` records that the sample mean has been shifted onto
     `true_mean` exactly; `note` carries degeneracy flags set by
-    `decorrelate`."""
+    `decorrelate`. The estimators also take a stack of ensembles, one per
+    benchmark trial: members (T, d, N) around one true mean."""
 
     members: np.ndarray
     true_mean: np.ndarray
@@ -78,16 +79,16 @@ class Ensemble:
 
     @property
     def dim(self):
-        return self.members.shape[0]
+        return self.members.shape[-2]
 
     @property
     def n(self):
-        return self.members.shape[1]
+        return self.members.shape[-1]
 
     @property
     def anomalies(self):
         """Members minus their column-sample mean."""
-        return self.members - self.members.mean(axis=1, keepdims=True)
+        return self.members - self.members.mean(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,23 @@ class TestBench:
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_are_a_partial_result(self, tmp_path, capsys):
+        # x-means of 1e80 overflow the order-6 Hermite values
+        cfg = write_cfg(tmp_path / "cfg.json", {
+            "n_trials": 2, "hermite_orders": [6], "ensemble_sizes": [5],
+            "lambda_grid": [0.0], "x_mean": [1e80] * 5})
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
+        assert rc == 1
+        assert "non-finite" in err
+        rows = read_results_csv(out / "results.csv")
+        assert all(np.isfinite(r.rmse) and np.isfinite(r.bias) for r in rows)
+        man = json.loads((out / "manifest.json").read_text())
+        assert any("PARTIAL RESULTS" in note for note in man["notes"])
+        assert any("order=6 N=5" in note and "non-finite" in note for note in man["notes"])
+
 
 # ---------------------------------------------------------------------------
 # rastrigin
@@ -365,6 +382,17 @@ class TestGradient:
                          "--values", vals, "--estimator", "plain_lls")
         assert rc == 2
         assert "M-by-N" in err
+
+    def test_fragile_table_mode_rejected(self, tmp_path, capsys):
+        # the mean x-member is none of the table's rows
+        u, u_csv = make_u(tmp_path, d=3, n=6)
+        x_csv = tmp_path / "x.csv"
+        write_ensemble_csv(x_csv, np.random.default_rng(9).normal(size=(2, 6)))
+        vals = write_values(tmp_path / "vals.csv", np.zeros((6, 6)))
+        rc, _, err = run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv,
+                         "--values", vals, "--estimator", "fragile")
+        assert rc == 2
+        assert "covers 1 x-member" in err
 
     def test_paired_member_count_mismatch(self, tmp_path, capsys):
         u, u_csv = make_u(tmp_path, n=12)

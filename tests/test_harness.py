@@ -1,4 +1,4 @@
-"""Benchmark harness: accumulation, the fast path, aggregation, descent."""
+"""Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from ensgrad.harness import (
     aggregate,
     block_arrays,
     bootstrap_band,
-    eval_contract,
     merge_stats,
     read_results_csv,
     run_bench,
@@ -22,6 +21,8 @@ from ensgrad.harness import (
     variance_improvement,
     write_results_csv,
 )
+
+from golden_fixture import trial_stats
 
 SMALL = BenchConfig(
     base_seed=515,
@@ -135,10 +136,28 @@ class TestRunTrial:
             elif est not in ("average_lls", "hybrid"):
                 assert np.abs(rows).max() < 1e-8, est
 
+    # (new, cached) evaluations per trial at M = N = 6, as in the README;
+    # the subsampled family sees a pooled ensemble of 2M controls
+    CONTRACT = {
+        "plain_lls": (36, 0),
+        "fragile": (6, 0),
+        "paired": (6, 0),
+        "stosag": (6, 6),
+        "average_lls": (12, 0),
+        "gen_stosag": (12, 0),
+        "hybrid": (12, 0),
+        "two_sided": (12, 0),
+        "mirrored2s": (12, 0),
+        "one_sided": (6, 6),
+        "decorr": (6, 6),
+        "avg_grad": (36, 0),
+    }
+
     def test_eval_counts_match_contract(self):
         out = run_trial(SMALL, 3, 6, 0)
+        assert set(out.evals) == set(self.CONTRACT)
         for est, (evals, cached) in out.evals.items():
-            assert (evals, cached) == eval_contract(est, 6, 6), est
+            assert (evals, cached) == self.CONTRACT[est], est
 
     def test_m_members_skips_paired_family(self):
         cfg = BenchConfig(base_seed=3, n_trials=2, dims=3, m_members=4,
@@ -152,25 +171,39 @@ class TestRunTrial:
 
 
 class TestFastPathEquivalence:
+    """run_bench (one batched call per estimator and block, all lambdas at
+    once) against a loop of run_trial (per-call estimate(), one trial and
+    one lambda at a time)."""
+
+    @staticmethod
+    def assert_agree(cfg):
+        tol = {"gen_stosag": 1e-10, "hybrid": 1e-10}
+        ref = trial_stats(cfg)
+        fast = run_bench(cfg).stats
+        assert set(ref) == set(fast)
+        for key, st in ref.items():
+            ft = fast[key]
+            scale = max(1.0, np.abs(st.sum_sq).max())
+            worst = max(
+                np.abs(st.sum_err - ft.sum_err).max(),
+                np.abs(st.sum_sq - ft.sum_sq).max(),
+            )
+            assert worst <= tol.get(key[0], 1e-12) * scale, (key, worst)
+            assert (st.n, st.evals, st.cached) == (ft.n, ft.evals, ft.cached)
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6])
     def test_reference_and_vectorised_agree(self, order):
-        tol = {"gen_stosag": 1e-10, "hybrid": 1e-10}
         for n in (3, 4, 6, 10):
-            cfg = BenchConfig(base_seed=99, n_trials=12, dims=3,
-                              hermite_orders=(order,), ensemble_sizes=(n,),
-                              lambda_grid=(0.0, 1e-2))
-            ref = run_bench(cfg, reference=True)
-            fast = run_bench(cfg)
-            assert set(ref.stats) == set(fast.stats)
-            for key, st in ref.stats.items():
-                ft = fast.stats[key]
-                scale = max(1.0, np.abs(st.sum_sq).max())
-                worst = max(
-                    np.abs(st.sum_err - ft.sum_err).max(),
-                    np.abs(st.sum_sq - ft.sum_sq).max(),
-                )
-                assert worst <= tol.get(key[0], 1e-12) * scale, (key, worst)
-                assert (st.n, st.evals, st.cached) == (ft.n, ft.evals, ft.cached)
+            self.assert_agree(BenchConfig(base_seed=99, n_trials=12, dims=3,
+                                          hermite_orders=(order,), ensemble_sizes=(n,),
+                                          lambda_grid=(0.0, 1e-2)))
+
+    @pytest.mark.parametrize("option", [{"truth": "distribution"}, {"charge_cached": True},
+                                        {"m_members": 4}], ids=lambda o: next(iter(o)))
+    def test_options_agree(self, option):
+        self.assert_agree(BenchConfig(base_seed=99, n_trials=12, dims=3, hermite_orders=(3,),
+                                      ensemble_sizes=(4, 6, 10), lambda_grid=(0.0, 1e-2),
+                                      **option))
 
     def test_skips_recorded_in_bench(self):
         cfg = BenchConfig(base_seed=4, n_trials=4, dims=3, m_members=4,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ensgrad import objectives
 from ensgrad.errors import DimensionError
 from ensgrad.objectives import (
     RASTRIGIN_STRETCH,
@@ -219,21 +220,40 @@ class TestExpectedGradients:
 class TestVectorisedKernels:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
     def test_table_pairs_and_grads_match_scalar(self, order):
+        # the table means against the scalar table, and every kernel on a
+        # stack of trials against each trial alone
         g = rng(6)
         spec = hermite_objective(order, dims=3)
-        X = g.standard_normal((3, 4))
-        U = g.standard_normal((3, 4))
-        table = spec.value_table(X, U)
-        pairs = spec.value_pairs(X, U)
-        grads = spec.grad_u_table(X, U)
-        assert table.shape == (4, 4)
-        assert grads.shape == (3, 4, 4)
-        for m in range(4):
-            for n in range(4):
-                assert table[m, n] == pytest.approx(
-                    spec.value(X[:, m], U[:, n]), abs=1e-12)
-                assert np.allclose(grads[:, m, n], spec.grad_u(X[:, m], U[:, n]))
-            assert pairs[m] == pytest.approx(spec.value(X[:, m], U[:, m]), abs=1e-12)
+        X = g.standard_normal((2, 3, 4))
+        U = g.standard_normal((2, 3, 5))
+        table, grads = spec.table(X, U), spec.grad_table(X, U)
+        pairs = spec.pairs(X[..., :4], U[..., :4])
+        assert table.shape == (2, 5) and grads.shape == (2, 3) and pairs.shape == (2, 4)
+        for t in range(2):
+            values = [[spec.value(X[t, :, m], U[t, :, n]) for n in range(5)] for m in range(4)]
+            grad_u = [spec.grad_u(X[t, :, m], U[t, :, n]) for n in range(5) for m in range(4)]
+            assert np.allclose(table[t], np.mean(values, axis=0), rtol=0, atol=1e-12)
+            assert np.allclose(grads[t], np.mean(grad_u, axis=0), rtol=0, atol=1e-12)
+            for m in range(4):
+                assert pairs[t, m] == pytest.approx(
+                    spec.value(X[t, :, m], U[t, :, m]), abs=1e-12)
+            assert np.array_equal(spec.table(X[t], U[t]), table[t])
+            assert np.array_equal(spec.pairs(X[t, :, :4], U[t, :, :4]), pairs[t])
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_binomial_means_match_direct_tables(self, order):
+        # a stack large enough for the binomial form, against each trial's
+        # table, small enough to be formed directly
+        g = rng(9)
+        spec = hermite_objective(order, dims=3)
+        X = np.linspace(-2.0, 2.0, 3)[:, None] + 0.5 * g.standard_normal((40, 3, 12))
+        U = 0.1 * g.standard_normal((40, 3, 12))
+        assert X.shape[-1] * U[0].size <= objectives._SMALL_TABLE < X.shape[-1] * U.size
+        table, grads = spec.table(X, U), spec.grad_table(X, U)
+        for t in range(40):
+            for got, ref in ((table[t], spec.table(X[t], U[t])),
+                             (grads[t], spec.grad_table(X[t], U[t]))):
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_bilinear_kernels(self):
         g = rng(7)
@@ -242,12 +262,16 @@ class TestVectorisedKernels:
         spec = bilinear_objective(a, b)
         X = g.standard_normal((2, 3))
         U = g.standard_normal((4, 5))
-        table = spec.value_table(X, U)
-        for m in range(3):
-            for n in range(5):
-                assert table[m, n] == pytest.approx(
-                    bilinear_eval(a, b, X[:, m], U[:, n]), abs=1e-12)
-        assert np.allclose(spec.grad_u_table(X, U)[:, 1, 2], b.sum(axis=0))
+        table = spec.table(X, U)
+        for n in range(5):
+            ref = np.mean([bilinear_eval(a, b, X[:, m], U[:, n]) for m in range(3)])
+            assert table[n] == pytest.approx(ref, abs=1e-12)
+        # a single x-member stands for all of them
+        pairs = spec.pairs(X[:, 1:2], U)
+        for n in range(5):
+            assert pairs[n] == pytest.approx(bilinear_eval(a, b, X[:, 1], U[:, n]), abs=1e-12)
+        assert np.allclose(spec.grad_table(X, U), b.sum(axis=0))
+        assert np.allclose(spec.grad_pairs(X[:, :1], U)[:, 2], b.sum(axis=0))
 
 
 class TestRastrigin:
