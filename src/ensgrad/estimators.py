@@ -168,8 +168,6 @@ class Batch:
         def compute():
             U = self.U.members
             g = np.moveaxis(U.reshape(U.shape[:-1] + (self.X.n, nm)), -2, -3)
-            if nm == 2:  # the half sum: bit for bit the mean, without a reduction
-                return g - 0.5 * (g[..., :1] + g[..., 1:])
             return g - g.mean(axis=-1, keepdims=True)
 
         return self.once(("anomalies", nm), compute)
@@ -371,8 +369,7 @@ def estimate_batch(batch, spec, lambdas=None):
     """Run one estimator on a Batch at every lambda of `lambdas` (default:
     the spec's own): gradient rows (L, ..., du), and the evaluations (new,
     cached) charged per trial."""
-    if lambdas is None:
-        lambdas = (spec.pinv.lam,)
+    lambdas = (spec.pinv.lam,) if lambdas is None else tuple(lambdas)
     grads, evals, cached = _DISPATCH[spec.kind](batch, spec, lambdas)
     if spec.charge_cached:
         evals, cached = evals + cached, 0

@@ -155,6 +155,8 @@ class ObjectiveSpec:
 
     def table(self, X, U):
         """The value table loss(x_m, u_n) averaged over x, (..., N)."""
+        if X.shape[-1] == 1:  # one x-member: the table is its pairs row
+            return self.pairs(X, U)
         if self.value_mean is not None:
             return self.value_mean(X, U)
         return self.pairs(_each_member(X), U[..., None, :, :]).mean(axis=-2)
@@ -186,29 +188,19 @@ def _member_means(order, X):
     return out
 
 
-# Tables of at most this many entries are formed directly: below it, the
-# binomial form's extra numpy calls cost more than the entries they save.
-_SMALL_TABLE = 4096
-
-
 def hermite_objective(order, dims=5):
     """Separable Hermite benchmark objective in `dims` dimensions.
 
-    Its table means do not form a large M x N table: by the binomial
+    Its table means do not form the M x N table: by the binomial
     identity `He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k)` the x-member mean
     moves inside the sum, onto `He_k(x)`, and the control mean onto
     `u^(n-k)`."""
     _check_order(order)
 
-    def table(X, U, k):
-        return hermite_value(k, X[..., :, :, None] + U[..., :, None, :])  # (..., d, M, N)
-
     def value_pairs(X, U):
         return hermite_value(order, X + U).sum(axis=-2)
 
     def value_mean(X, U):
-        if X.shape[-1] * U.size <= _SMALL_TABLE:
-            return table(X, U, order).sum(axis=-3).mean(axis=-2)
         he = _member_means(order, X)
         acc = he[0] * np.ones_like(U)
         for k in range(1, order + 1):  # Horner in u
@@ -216,8 +208,6 @@ def hermite_objective(order, dims=5):
         return acc.sum(axis=-2)
 
     def grad_mean(X, U):
-        if X.shape[-1] * U.size <= _SMALL_TABLE:
-            return order * table(X, U, max(order - 1, 0)).mean(axis=(-2, -1))
         he = _member_means(order, X)[..., 0]
         grad = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1]))
         u_pow = np.ones_like(U)

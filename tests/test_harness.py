@@ -1,5 +1,7 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,15 @@ class TestRunBench:
         for key, st in one.stats.items():
             assert np.array_equal(st.sum_err, two.stats[key].sum_err)
             assert np.array_equal(st.sum_sq, two.stats[key].sum_sq)
+
+    def test_list_lambda_grid(self):
+        # validate() accepts a list grid, which must run as its tuple does
+        as_list = replace(SMALL, lambda_grid=[0.0, 1e-2]).validate()
+        ref = run_bench(SMALL).stats
+        got = run_bench(as_list).stats
+        assert set(ref) == set(got)
+        for key, st in ref.items():
+            assert np.array_equal(st.sum_err, got[key].sum_err)
 
     def test_trial_totals(self):
         res = run_bench(SMALL, blocks_per_cell=4)

@@ -242,17 +242,18 @@ class TestVectorisedKernels:
 
     @pytest.mark.parametrize("order", range(7))
     def test_binomial_means_match_direct_tables(self, order):
-        # a stack large enough for the binomial form, against each trial's
-        # table, small enough to be formed directly
+        # the binomial means on a stack of trials, against each trial's
+        # M x N table formed directly, with x-members far from zero
         g = rng(9)
         spec = hermite_objective(order, dims=3)
         X = np.linspace(-2.0, 2.0, 3)[:, None] + 0.5 * g.standard_normal((40, 3, 12))
         U = 0.1 * g.standard_normal((40, 3, 12))
-        assert X.shape[-1] * U[0].size <= objectives._SMALL_TABLE < X.shape[-1] * U.size
         table, grads = spec.table(X, U), spec.grad_table(X, U)
         for t in range(40):
-            for got, ref in ((table[t], spec.table(X[t], U[t])),
-                             (grads[t], spec.grad_table(X[t], U[t]))):
+            sums = X[t][:, :, None] + U[t][:, None, :]  # (d, M, N)
+            ref_table = hermite_value(order, sums).sum(axis=0).mean(axis=0)
+            ref_grads = (order * hermite_value(max(order - 1, 0), sums)).mean(axis=(1, 2))
+            for got, ref in ((table[t], ref_table), (grads[t], ref_grads)):
                 assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_bilinear_kernels(self):
