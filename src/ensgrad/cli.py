@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, harness
 from .errors import DegenerateEnsembleError, DimensionError, InsufficientSampleError
 from .estimators import (
     ESTIMATOR_IDS,
@@ -115,6 +116,8 @@ def _cmd_bench(args):
         if overrides:
             cfg = replace(cfg, **overrides)
         cfg.validate()
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
     except (OSError, json.JSONDecodeError, ConfigError, TypeError) as e:
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
@@ -122,22 +125,33 @@ def _cmd_bench(args):
     os.makedirs(args.out, exist_ok=True)
     rows, notes, failures = [], [], []
     cells = [(order, n) for order in cfg.hermite_orders for n in cfg.ensemble_sizes]
-    for i, (order, n) in enumerate(cells):
-        cell_cfg = replace(cfg, hermite_orders=(order,), ensemble_sizes=(n,))
-        try:
-            res = run_bench(cell_cfg, workers=args.workers)
-            cell_rows = aggregate(res.stats)
-            finite = [r for r in cell_rows if math.isfinite(r.rmse) and math.isfinite(r.bias)]
-            rows.extend(finite)
-            for (s_order, s_n, est), reason in sorted(res.skips.items()):
-                notes.append(f"skipped {est} at order={s_order} N={s_n}: {reason}")
-            if len(finite) < len(cell_rows):
-                failures.append(f"order={order} N={n}: {len(cell_rows) - len(finite)} of "
-                                f"{len(cell_rows)} rows have a non-finite rmse or bias; "
-                                "left out")
-        except Exception as e:  # keep going; report partial results
-            failures.append(f"order={order} N={n}: {type(e).__name__}: {e}")
-        print(f"[{i + 1}/{len(cells)}] order={order} N={n} done", file=sys.stderr)
+    # one pool for all cells; each cell's blocks are all back before its line prints
+    pool = None
+    try:
+        for i, (order, n) in enumerate(cells):
+            if args.workers > 1 and pool is None:
+                pool = harness.ProcessPoolExecutor(max_workers=args.workers)
+            cell_cfg = replace(cfg, hermite_orders=(order,), ensemble_sizes=(n,))
+            try:
+                res = run_bench(cell_cfg, workers=pool or args.workers)
+                cell_rows = aggregate(res.stats)
+                finite = [r for r in cell_rows if math.isfinite(r.rmse) and math.isfinite(r.bias)]
+                rows.extend(finite)
+                for (s_order, s_n, est), reason in sorted(res.skips.items()):
+                    notes.append(f"skipped {est} at order={s_order} N={s_n}: {reason}")
+                if len(finite) < len(cell_rows):
+                    failures.append(f"order={order} N={n}: {len(cell_rows) - len(finite)} of "
+                                    f"{len(cell_rows)} rows have a non-finite rmse or bias; "
+                                    "left out")
+            except Exception as e:  # keep going; report partial results
+                failures.append(f"order={order} N={n}: {type(e).__name__}: {e}")
+                if isinstance(e, BrokenExecutor):  # a worker died: the next cell gets a new pool
+                    pool.shutdown(cancel_futures=True)
+                    pool = None
+            print(f"[{i + 1}/{len(cells)}] order={order} N={n} done", file=sys.stderr)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
     write_results_csv(os.path.join(args.out, "results.csv"), rows)

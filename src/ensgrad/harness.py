@@ -7,7 +7,10 @@ RMSE/bias tables over a regularisation grid. `run_bench` stacks a block's
 trials on a leading axis (in sub-batches of bounded size) and makes one
 `estimate_batch` call per estimator and sub-batch, over the whole lambda
 grid; the estimators share the sub-batch's evaluations and the SVD of its
-control anomalies through one `Batch`.
+control anomalies through one `Batch`. A block hands back, per estimator,
+one (2, L, d) array of summed signed errors and squared errors; `run_bench`
+adds these in task order, on its own process pool or on an `Executor` the
+caller keeps open across calls, and builds the per-key `ErrorStats` once.
 `run_trial` is the plain composition of per-call `estimate()`s, one trial
 and one lambda at a time, which the tests pin the blocks against. The truth
 is in closed form (`objectives.hermite_expected_grad`).
@@ -16,9 +19,10 @@ Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
 """
 
+import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,6 +109,8 @@ class BenchConfig:
             not np.isfinite(l) or l < 0 for l in self.lambda_grid
         ):
             problems.append(f"lambda_grid: expected finite values >= 0, got {self.lambda_grid!r}")
+        elif len(set(self.lambda_grid)) < len(self.lambda_grid):
+            problems.append(f"lambda_grid: repeated values in {self.lambda_grid!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if not self.estimators or unknown:
             problems.append(f"estimators: unknown ids {unknown!r}, known: {list(ESTIMATOR_IDS)}")
@@ -156,8 +162,8 @@ class BenchConfig:
 
 # ---------------------------------------------------------------------------
 # Accumulators. Keys are (estimator, order, N, lam); merging is associative
-# and commutative, and run_bench folds worker results in a fixed task order
-# so aggregates do not depend on scheduling.
+# and commutative, and run_bench sums block moments in a fixed task order so
+# aggregates do not depend on scheduling.
 
 
 @dataclass
@@ -289,14 +295,16 @@ def _block_batch_size(dims, m, n):
 
 
 def _run_block(cfg, order, n, lo, hi):
-    """ErrorStats and skip reasons for trials [lo, hi) of one (order, N)
+    """Error moments and skip reasons for trials [lo, hi) of one (order, N)
     cell: trials stacked in sub-batches, one `estimate_batch` call per
-    estimator and sub-batch over the whole lambda grid."""
+    estimator and sub-batch over the whole lambda grid. Per estimator the
+    moments are `[sums, trials, evals, cached]`, with `sums` (2, L, d): the
+    signed errors and their squares summed over trials, per lambda."""
     m = cfg.m_members or n
     factors = _draw_factors(cfg)
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     objective = hermite_objective(order, cfg.dims)
-    stats, skips = {}, {}
+    moments, skips = {}, {}
     step = _block_batch_size(cfg.dims, m, n)
     for blo in range(lo, hi, step):
         draws = [_draw_trial(cfg, factors, n, t, need_vw) for t in range(blo, min(blo + step, hi))]
@@ -315,12 +323,14 @@ def _run_block(cfg, order, n, lo, hi):
             except (ValueError, DimensionError) as e:  # includes degenerate pairs
                 skips[est] = str(e)
                 continue
-            for lam, grad in zip(cfg.lambda_grid, grads):
-                key = (est, order, n, lam)
-                if key not in stats:
-                    stats[key] = ErrorStats.empty(cfg.dims, evals, cached)
-                stats[key].add_block(grad - truth)
-    return stats, skips
+            if est not in moments:
+                moments[est] = [np.zeros((2, len(cfg.lambda_grid), cfg.dims)), 0, evals, cached]
+            acc = moments[est]
+            errors = grads - truth  # (L, T, d)
+            acc[0][0] += errors.sum(axis=1)
+            acc[0][1] += (errors**2).sum(axis=1)
+            acc[1] += len(draws)
+    return moments, skips
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +359,57 @@ def _run_task(args):
     return _run_block(*args)
 
 
+def _stats_of(cfg, order, n, moments):
+    """The per-key ErrorStats of one cell's moments; their arrays are views
+    into the moments."""
+    return {(est, order, n, lam): ErrorStats(sums[0, l], sums[1, l], trials, evals, cached)
+            for est, (sums, trials, evals, cached) in moments.items()
+            for l, lam in enumerate(cfg.lambda_grid)}
+
+
 def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=None):
-    """Run the full benchmark grid. Results are identical (to accumulation
-    roundoff) for any `workers`, because partial stats are folded in task
-    order, not completion order."""
+    """Run the full benchmark grid. `workers` is a process count, or an
+    open `Executor` to run the blocks on, which is left open. Each block
+    returns its error moments as arrays, and they are summed in task
+    order, not completion order, so results are bit-identical for any
+    `workers`; the per-key `ErrorStats` are built once, at the end.
+    `progress(i, n_blocks)` is called as each block is summed."""
     import time
 
     cfg.validate()
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
     args = [(cfg, order, n, lo, hi) for order, n, lo, hi in tasks]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_task, args, chunksize=1))
-    else:
-        partials = []
-        for i, a in enumerate(args):
-            partials.append(_run_task(a))
+    cells, skips, blocks = {}, {}, []
+    with contextlib.ExitStack() as stack:
+        if isinstance(workers, Executor):
+            parts = workers.map(_run_task, args)
+        elif workers and workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            parts = pool.map(_run_task, args)
+        else:
+            parts = map(_run_task, args)
+        for i, ((order, n, lo, _hi), (moments, part_skips)) in enumerate(zip(tasks, parts)):
+            cell = cells.setdefault((order, n), {})
+            for est, (sums, trials, evals, cached) in moments.items():
+                cur = cell.get(est)
+                if cur is None:
+                    cell[est] = [sums.copy(), trials, evals, cached]
+                elif (evals, cached) != (cur[2], cur[3]):
+                    raise ValueError("merging stats with different evaluation contracts")
+                else:
+                    cur[0] += sums
+                    cur[1] += trials
+            for est, reason in part_skips.items():
+                skips[(order, n, est)] = reason
+            if keep_blocks:
+                blocks.append(((order, n, lo), _stats_of(cfg, order, n, moments)))
             if progress:
-                progress(i + 1, len(args))
+                progress(i + 1, len(tasks))
 
-    stats, skips, blocks = {}, {}, []
-    for (order, n, lo, hi), (part, part_skips) in zip(tasks, partials):
-        merge_stats(stats, {k: replace(v, sum_err=v.sum_err.copy(), sum_sq=v.sum_sq.copy())
-                            for k, v in part.items()})
-        for est, reason in part_skips.items():
-            skips[(order, n, est)] = reason
-        if keep_blocks:
-            blocks.append(((order, n, lo), part))
+    stats = {}
+    for (order, n), moments in cells.items():
+        stats.update(_stats_of(cfg, order, n, moments))
     return BenchResult(stats=stats, skips=skips, blocks=blocks,
                        elapsed=time.perf_counter() - t0)
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -176,6 +177,85 @@ class TestBench:
         assert rows and all(r.order == 0 for r in rows)
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path / "cfg.json", BENCH_CFG)
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out, "--workers", workers)
+        assert rc == 2
+        assert "invalid benchmark configuration: --workers must be >= 1" in err
+        assert not out.exists()
+
+    def test_two_workers_same_bytes(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, n_trials=4, hermite_orders=[2, 3],
+                                                    lambda_grid=[0.0, 1e-2]))
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        assert run(capsys, "bench", "--config", cfg, "--out", a, "--workers", 1)[0] == 0
+        assert run(capsys, "bench", "--config", cfg, "--out", b, "--workers", 2)[0] == 0
+        for name in ("results.csv", "best_lambda.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def _two_cells_on_pools(self, tmp_path, capsys, monkeypatch, fail_block):
+        """Order 0, then order 3, with two workers; `fail_block` stands in
+        for the blocks of order 0. Returns (rc, stderr, out dir, the pools
+        made, the `workers` each cell's run_bench got)."""
+        import ensgrad.cli as cli_mod
+        import ensgrad.harness as harness_mod
+
+        real_block, real_bench = harness_mod._run_block, cli_mod.run_bench
+        pools, calls = [], []
+
+        def block(cfg, order, n, lo, hi):
+            if order == 0:
+                fail_block()
+            return real_block(cfg, order, n, lo, hi)
+
+        class Pool(harness_mod.ProcessPoolExecutor):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                pools.append(self)
+
+        def bench(cfg, workers=1):
+            calls.append(workers)
+            return real_bench(cfg, workers=workers)
+
+        monkeypatch.setattr(harness_mod, "_run_block", block)  # forked workers inherit it
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli_mod, "run_bench", bench)
+        cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 3]))
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out, "--workers", 2)
+        return rc, err, out, pools, calls
+
+    def assert_later_cell_kept(self, out):
+        rows = read_results_csv(out / "results.csv")
+        assert rows and all(r.order == 3 for r in rows)
+        man = json.loads((out / "manifest.json").read_text())
+        assert any("PARTIAL RESULTS" in note for note in man["notes"])
+
+    def test_failing_cell_under_two_workers(self, tmp_path, capsys, monkeypatch):
+        def fail():
+            raise RuntimeError("synthetic block failure")
+
+        rc, err, out, pools, calls = self._two_cells_on_pools(tmp_path, capsys, monkeypatch, fail)
+        assert rc == 1
+        assert "order=0 N=6: RuntimeError: synthetic block failure" in err
+        self.assert_later_cell_kept(out)
+        assert len(pools) == 1 and calls == [pools[0], pools[0]]
+
+    def test_dead_worker_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os._exit(1)
+
+        rc, err, out, pools, calls = self._two_cells_on_pools(tmp_path, capsys, monkeypatch, die)
+        assert rc == 1
+        assert "order=0 N=6: BrokenProcessPool" in err
+        self.assert_later_cell_kept(out)
+        assert len(pools) == 2 and calls == pools
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -1,5 +1,6 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,8 @@ class TestBenchConfig:
             BenchConfig(estimators=("stosag", "nope")).validate()
         with pytest.raises(ConfigError, match="lambda_grid"):
             BenchConfig(lambda_grid=(-0.1,)).validate()
+        with pytest.raises(ConfigError, match="lambda_grid: repeated"):
+            BenchConfig(lambda_grid=(0.0, 1e-2, -0.0)).validate()
         with pytest.raises(ConfigError, match="truth"):
             BenchConfig(truth="exact").validate()
         with pytest.raises(ConfigError, match="u_mean"):
@@ -219,11 +222,20 @@ class TestFastPathEquivalence:
 class TestRunBench:
     def test_worker_count_does_not_change_results(self):
         one = run_bench(SMALL, workers=1, blocks_per_cell=4)
-        two = run_bench(SMALL, workers=2, blocks_per_cell=4)
-        assert set(one.stats) == set(two.stats)
-        for key, st in one.stats.items():
-            assert np.array_equal(st.sum_err, two.stats[key].sum_err)
-            assert np.array_equal(st.sum_sq, two.stats[key].sum_sq)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            runs = [run_bench(SMALL, workers=2, blocks_per_cell=4),
+                    run_bench(SMALL, workers=pool, blocks_per_cell=4)]
+            assert pool.submit(abs, -3).result() == 3  # run_bench left it open
+        for two in runs:
+            assert set(one.stats) == set(two.stats)
+            for key, st in one.stats.items():
+                assert np.array_equal(st.sum_err, two.stats[key].sum_err)
+                assert np.array_equal(st.sum_sq, two.stats[key].sum_sq)
+
+    def test_progress_fires_for_parallel_runs(self):
+        calls = []
+        run_bench(SMALL, workers=2, blocks_per_cell=4, progress=lambda i, n: calls.append((i, n)))
+        assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_list_lambda_grid(self):
         # validate() accepts a list grid, which must run as its tuple does

@@ -1,4 +1,5 @@
-"""Property tests over random ensemble sizes, orders, damping and seeds.
+"""Property tests over random ensemble sizes, orders, damping and seeds,
+and over random matrix stacks for the damped pseudo-inverse.
 Every run draws the same examples (`derandomize`), so a failure replays."""
 
 import numpy as np
@@ -14,7 +15,7 @@ from ensgrad.estimators import (
     estimate_batch,
 )
 from ensgrad.harness import BenchConfig, run_bench
-from ensgrad.linalg import PinvConfig
+from ensgrad.linalg import PinvConfig, damped_apply, damped_svd, tikhonov_pinv
 from ensgrad.objectives import hermite_objective
 from ensgrad.sampling import Ensemble, GaussianSpec, child_seed, draw_ensemble, recenter
 
@@ -95,3 +96,41 @@ def test_worker_count_does_not_change_stats(n, order, lam, seed):
         assert np.array_equal(s.sum_sq, two.stats[key].sum_sq)
         assert (s.n, s.evals, s.cached) == (two.stats[key].n, two.stats[key].evals,
                                              two.stats[key].cached)
+
+
+def random_stack(seed, stack, m, k, rank):
+    """(stack, m, k) matrices of at most the given rank, their scales spread
+    over a few orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    r = min(rank, m, k)
+    a = rng.standard_normal((stack, m, r)) @ rng.standard_normal((stack, r, k))
+    return a * 10.0 ** rng.uniform(-3, 3, size=(stack, 1, 1)), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, stack=st.integers(1, 4), m=st.integers(1, 7), k=st.integers(1, 7),
+       rank=st.integers(1, 7),
+       lams=st.lists(st.sampled_from((0.0, 1e-6, 1e-3, 3e-2, 1.0, 30.0)), min_size=1,
+                     max_size=4))
+def test_damped_apply_equals_row_times_pinv(seed, stack, m, k, rank, lams):
+    a, rng = random_stack(seed, stack, m, k, rank)
+    rows = rng.standard_normal((stack, k))
+    got = damped_apply(rows, damped_svd(a, lams))
+    assert got.shape == (len(lams), stack, m)
+    for l, lam in enumerate(lams):
+        for i in range(stack):
+            want = rows[i] @ tikhonov_pinv(a[i], PinvConfig(lam))
+            assert np.abs(got[l, i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, m=st.integers(1, 7), k=st.integers(1, 7), rank=st.integers(1, 7))
+def test_undamped_pinv_is_moore_penrose(seed, m, k, rank):
+    (a,), _ = random_stack(seed, 1, m, k, rank)
+    p = tikhonov_pinv(a, PinvConfig(0.0))
+    assert p.shape == (k, m)
+    tol = 1e-10
+    assert np.abs(a @ p @ a - a).max() <= tol * np.abs(a).max()
+    assert np.abs(p @ a @ p - p).max() <= tol * np.abs(p).max()
+    assert np.abs(a @ p - (a @ p).T).max() <= tol
+    assert np.abs(p @ a - (p @ a).T).max() <= tol
