@@ -28,7 +28,6 @@ from .errors import DegenerateEnsembleError, DimensionError, InsufficientSampleE
 from .estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
-    CountingObjective,
     EstimatorSpec,
     estimate,
 )
@@ -496,8 +495,7 @@ def _cmd_gradient(args):
             pinv=PinvConfig(args.lam),
             precondition=args.precondition,
         )
-        obj = CountingObjective(spec_obj)
-        got = estimate(obj, x_ens, u_ens, est_spec)
+        got = estimate(spec_obj, x_ens, u_ens, est_spec)
     except (OSError, ValueError, DimensionError, InsufficientSampleError,
             DegenerateEnsembleError) as e:
         print(f"gradient: {e}", file=sys.stderr)

@@ -6,7 +6,9 @@ trial axes, give gradient rows (L, ..., du) for a grid of L damping values,
 plus the evaluations charged per trial. `estimate()` is that call on one
 unstacked trial at one lambda; the benchmark harness makes it once per
 estimator and block of trials, with a `Batch` that lets the estimators of a
-block share their evaluations and the SVD of the control anomalies.
+block share their evaluations and factorisations. A lambda sweep of
+`estimate()` calls shares them through the Batch memo that a
+`CountingObjective` keeps per pair of ensembles.
 Regularisation and the preconditioned form (trailing `Ut^+` replaced by
 `Ut^T/(N-1)`, i.e. the gradient pre-multiplied by the sample control
 covariance) are handled uniformly through `EstimatorSpec`.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError, DimensionError
-from .linalg import PinvConfig, damped_apply, damped_svd, sample_cross_cov
+from .linalg import PinvConfig, damp, damped_apply, sample_cross_cov, svd
 from .sampling import Ensemble, decorrelate
 
 ESTIMATOR_IDS = (
@@ -76,23 +78,18 @@ class GradientEstimate:
 
 
 class CountingObjective:
-    """Wraps an ObjectiveSpec, counting distinct (x, u) evaluations and
-    caching repeated requests so lambda sweeps do not re-evaluate. The four
-    evaluation methods are the ObjectiveSpec's."""
+    """Wraps an ObjectiveSpec, counting the (x, u) evaluations it makes;
+    the four evaluation methods are the ObjectiveSpec's. It evaluates
+    every request: a lambda sweep reuses evaluations and factorisations
+    through the memo of `batch()`, kept per pair of ensembles."""
 
     def __init__(self, spec):
         self.spec = spec
         self.evals = 0
         self.grad_evals = 0
-        self._cache = {}
+        self._memos = {}
 
-    def _lookup(self, kind, X, U):
-        X = np.ascontiguousarray(X, dtype=float)
-        U = np.ascontiguousarray(U, dtype=float)
-        key = (kind, X.shape, X.tobytes(), U.shape, U.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _evaluate(self, kind, X, U):
         out = getattr(self.spec, kind)(X, U)
         # per trial, a table's M*N pairs or the members of two paired
         # ensembles; then once per trial of a stack
@@ -104,34 +101,45 @@ class CountingObjective:
             self.grad_evals += charge
         else:
             self.evals += charge
-        self._cache[key] = out
         return out
 
     def table(self, X, U):
         """The value table averaged over x, (..., N)."""
-        return self._lookup("table", X, U)
+        return self._evaluate("table", X, U)
 
     def pairs(self, X, U):
         """Values loss(x_n, u_n), (..., N)."""
-        return self._lookup("pairs", X, U)
+        return self._evaluate("pairs", X, U)
 
     def grad_table(self, X, U):
         """The analytic u-gradient averaged over the table, (..., du)."""
-        return self._lookup("grad_table", X, U)
+        return self._evaluate("grad_table", X, U)
 
     def grad_pairs(self, X, U):
         """Analytic u-gradients at (x_n, u_n), (..., du, N)."""
-        return self._lookup("grad_pairs", X, U)
+        return self._evaluate("grad_pairs", X, U)
+
+    def batch(self, X, U):
+        """A Batch of `X` and `U` on this objective whose memo is the one
+        every earlier batch of the same ensembles used: keyed on the
+        contents of both ensembles' members and true means and on their
+        `recentred` flags, so an ensemble edited in place is a new key."""
+        key = tuple((e.recentred, e.members.shape, e.members.tobytes(),
+                     e.true_mean.shape, e.true_mean.tobytes()) for e in (X, U))
+        return Batch(self, X, U, self._memos.setdefault(key, {}))
 
 
 class Batch:
     """x-members `X` and controls `U` (Ensembles, stacked or not) on an
-    objective, with what several estimators on them share, each computed
-    on first use. `objective` is an ObjectiveSpec or a CountingObjective."""
+    objective, with what several estimators on them share: evaluations,
+    the decorrelated controls and SVDs, each computed on first use into
+    `memo`. The memo never holds a Batch or the objective, so a memo kept
+    by a CountingObjective makes no reference cycle. `objective` is an
+    ObjectiveSpec or a CountingObjective."""
 
-    def __init__(self, objective, X, U):
+    def __init__(self, objective, X, U, memo=None):
         self.obj, self.X, self.U = objective, X, U
-        self._memo = {}
+        self._memo = {} if memo is None else memo
 
     def once(self, key, compute):
         """`compute()`, evaluated on the first call with this key only."""
@@ -148,9 +156,16 @@ class Batch:
         return self.once("baseline", lambda: self.obj.pairs(self.X.members,
                                                              self.U.true_mean[..., None]))
 
-    def damped(self, lambdas):
-        """The control anomalies' `linalg.damped_svd` at `lambdas`."""
-        return self.once(("damped", lambdas), lambda: damped_svd(self.U.anomalies, lambdas))
+    def damped(self, name, matrix, lambdas):
+        """`(u, damp(s, lambdas), vt)` for the SVD of `matrix`, which is
+        factored once per `name`: a name stands for one matrix of this
+        batch (the group size is fixed by the batch's M and N)."""
+
+        def compute():
+            u, s, vt = self.once(("svd", name), lambda: svd(matrix))
+            return u, damp(s, lambdas), vt
+
+        return self.once(("damped", name, lambdas), compute)
 
     def group_rows(self, nm):
         """Each x-member's values on its own subsample of `nm` consecutive
@@ -173,10 +188,6 @@ class Batch:
         return self.once(("anomalies", nm), compute)
 
 
-def _as_counting(objective):
-    return objective if isinstance(objective, CountingObjective) else CountingObjective(objective)
-
-
 def _require_paired(b, kind):
     if b.X.n != b.U.n:
         raise DimensionError(f"{kind} requires M == N, got M={b.X.n} N={b.U.n}")
@@ -197,16 +208,17 @@ def _regress(row, b, spec, lambdas):
     preconditioned form."""
     if spec.precondition:
         return _each_lambda(sample_cross_cov(row, b.U.anomalies), lambdas)
-    return damped_apply(row, b.damped(lambdas))
+    return damped_apply(row, b.damped("U", b.U.anomalies, lambdas))
 
 
 def _plain_lls(b, spec, lambdas):
-    row = b.obj.table(b.X.members, b.U.members)
+    row = b.once("table", lambda: b.obj.table(b.X.members, b.U.members))
     return _regress(row, b, spec, lambdas), b.X.n * b.U.n, 0
 
 
 def _fragile(b, spec, lambdas):
-    row = b.obj.pairs(b.X.members.mean(axis=-1, keepdims=True), b.U.members)
+    row = b.once("fragile", lambda: b.obj.pairs(b.X.members.mean(axis=-1, keepdims=True),
+                                                 b.U.members))
     return _regress(row, b, spec, lambdas), b.U.n, 0
 
 
@@ -230,8 +242,9 @@ def _one_sided(b, spec, lambdas):
 
 def _mirrored2s(b, spec, lambdas):
     _require_paired_recentred(b, "mirrored2s")
-    w = 2.0 * b.U.true_mean[..., None] - b.U.members
-    row = 0.5 * (b.values() - b.obj.pairs(b.X.members, w))
+    mirrored = b.once("mirrored", lambda: b.obj.pairs(
+        b.X.members, 2.0 * b.U.true_mean[..., None] - b.U.members))
+    row = 0.5 * (b.values() - mirrored)
     return _regress(row, b, spec, lambdas), 2 * b.U.n, 0
 
 
@@ -251,9 +264,12 @@ def _decorrelated(U, psi):
 def _decorr(b, spec, lambdas):
     """Paired, on controls decorrelated from the baseline values."""
     _require_paired_recentred(b, "decorr")
-    base = b.baseline()
-    psi = base - base.mean(axis=-1, keepdims=True)
-    dec = Batch(b.obj, b.X, _decorrelated(b.U, psi))
+
+    def compute():
+        base = b.baseline()
+        return _decorrelated(b.U, base - base.mean(axis=-1, keepdims=True)), {}
+
+    dec = Batch(b.obj, b.X, *b.once("decorr", compute))
     return _regress(dec.values(), dec, spec, lambdas), b.U.n, b.X.n
 
 
@@ -271,7 +287,7 @@ def _two_sided(b, spec, lambdas):
     if spec.precondition:
         grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
     else:
-        grad = damped_apply(row, damped_svd(diff, lambdas))
+        grad = damped_apply(row, b.damped("diff", diff, lambdas))
     return grad, 2 * b.X.n, 0
 
 
@@ -290,7 +306,7 @@ def _average_lls(b, spec, lambdas):
     if spec.precondition:
         return _each_lambda(sample_cross_cov(rows, anoms).mean(axis=-2), lambdas), b.U.n, 0
     if spec.subsample_size > 2:
-        return damped_apply(rows, damped_svd(anoms, lambdas)).mean(axis=-2), b.U.n, 0
+        return damped_apply(rows, b.damped("groups", anoms, lambdas)).mean(axis=-2), b.U.n, 0
     # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
     vt = anoms[..., 0]
     nrm2 = (vt * vt).sum(axis=-1)
@@ -324,7 +340,7 @@ def _gen_stosag(b, spec, lambdas):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
     if spec.precondition:
         return _each_lambda(c_mean, lambdas), b.U.n, 0
-    return damped_apply(c_mean, damped_svd(cov_mean, lambdas)), b.U.n, 0
+    return damped_apply(c_mean, b.damped("cov_mean", cov_mean, lambdas)), b.U.n, 0
 
 
 def _hybrid(b, spec, lambdas):
@@ -336,7 +352,7 @@ def _hybrid(b, spec, lambdas):
     # matmul: this covariance has a near-null tail that amplifies any
     # last-bit difference at lambda = 0
     cov_pool = pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
-    return damped_apply(c_mean, damped_svd(cov_pool, lambdas)), b.U.n, 0
+    return damped_apply(c_mean, b.damped("cov_pool", cov_pool, lambdas)), b.U.n, 0
 
 
 def _avg_grad(b, spec, lambdas):
@@ -344,9 +360,10 @@ def _avg_grad(b, spec, lambdas):
     X, U = b.X, b.U
     if spec.avg_grad_diagonal:
         _require_paired(b, "avg_grad (diagonal pairing)")
-        grad = b.obj.grad_pairs(X.members, U.members).mean(axis=-1)
+        grad = b.once("grad_pairs", lambda: b.obj.grad_pairs(X.members, U.members)).mean(axis=-1)
         return _each_lambda(grad, lambdas), U.n, 0
-    return _each_lambda(b.obj.grad_table(X.members, U.members), lambdas), X.n * U.n, 0
+    grad = b.once("grad_table", lambda: b.obj.grad_table(X.members, U.members))
+    return _each_lambda(grad, lambdas), X.n * U.n, 0
 
 
 _DISPATCH = {
@@ -377,9 +394,11 @@ def estimate_batch(batch, spec, lambdas=None):
 
 
 def estimate(objective, X, U, spec):
-    """Run one estimator on one trial: `objective` is an ObjectiveSpec (or
-    an already counting wrapper), `X`/`U` are Ensembles, `spec` selects and
-    configures the estimator."""
-    grads, evals, cached = estimate_batch(Batch(_as_counting(objective), X, U), spec)
+    """Run one estimator on one trial: `objective` is an ObjectiveSpec or a
+    CountingObjective, whose memo the calls of a lambda sweep share; `X`/`U`
+    are Ensembles, `spec` selects and configures the estimator."""
+    batch = (objective.batch(X, U) if isinstance(objective, CountingObjective)
+             else Batch(objective, X, U))
+    grads, evals, cached = estimate_batch(batch, spec)
     return GradientEstimate(grad=grads[0], estimator=spec.kind, lam=spec.pinv.lam,
                             evals=evals, cached=cached)

@@ -2,13 +2,13 @@
 
 Notation: a matrix `U` holds one ensemble member per column, `Ut` (U-tilde)
 its column anomalies. Everything here is a pure function of ndarray inputs;
-the estimators are thin compositions of these. `svd`, `damped_svd` and
+the estimators are thin compositions of these. `svd`, `damp` and
 `damped_apply` also take stacks of matrices on leading axes, one per
-benchmark trial.
+benchmark trial; nothing is cached here (`estimators.Batch` shares an SVD
+between the estimators and lambdas that need it).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,62 +40,39 @@ def center_columns(mat):
     return mat - mean[:, None], mean
 
 
-@lru_cache(maxsize=256)
-def _svd_of_bytes(buf, shape):
-    a = np.frombuffer(buf, dtype=float).reshape(shape)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    for arr in (u, s, vt):
-        arr.setflags(write=False)
-    return u, s, vt
-
-
 def svd(a):
-    """Thin SVD `(u, s, vt)` of a matrix or of a (..., m, k) stack.
-
-    A single matrix goes through a small cache, so lambda sweeps over one
-    matrix factor it once; its arrays are shared and read-only. Stacks are
-    factored directly: the estimators of a benchmark block share its
-    factorizations through their `estimators.Batch`, and caching
-    block-sized stacks would only hold on to their memory."""
-    a = np.ascontiguousarray(a, dtype=float)
-    if a.ndim > 2:
-        return np.linalg.svd(a, full_matrices=False)
-    return _svd_of_bytes(a.tobytes(), a.shape)
+    """Thin SVD `(u, s, vt)` of a matrix or of a (..., m, k) stack."""
+    return np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
 
 
-def _damped(s, lam):
-    """Damped reciprocals of singular values s (..., k): `s/(s^2 +
-    (lam*s1)^2)`, or at `lam=0` the Moore-Penrose reciprocals with values
-    below `RANK_RTOL*s1` truncated. A zero spectrum gives zeros."""
+def damp(s, lambdas):
+    """Damped reciprocals of singular values s (..., k) at every lambda,
+    (L, ..., k): `s/(s^2 + (lam*s1)^2)`, or at `lam=0` the Moore-Penrose
+    reciprocals with values below `RANK_RTOL*s1` truncated. A zero spectrum
+    gives zeros."""
+    lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
     s1 = s[..., :1]
-    if lam == 0.0:
-        keep = s > RANK_RTOL * s1
-        return keep / np.where(keep, s, 1.0)
-    return s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
+    keep = s > RANK_RTOL * s1
+    damped = s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
+    return np.where(lam == 0.0, keep / np.where(keep, s, 1.0), damped)
 
 
 def tikhonov_pinv(a, cfg=PinvConfig()):
-    """Damped pseudo-inverse via SVD (`_damped` gives the singular values).
+    """Damped pseudo-inverse via SVD (`damp` gives the singular values).
     At `lam=0` this is the Moore-Penrose inverse with singular values below
     `RANK_RTOL*s1` truncated."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     u, s, vt = svd(a)
-    return (vt.T * _damped(s, cfg.lam)) @ u.T
-
-
-def damped_svd(a, lambdas):
-    """SVD of a matrix or (..., m, k) stack with its damped reciprocal
-    singular values at every lambda: (u, coeffs (L, ..., k), vt)."""
-    u, s, vt = svd(a)
-    return u, np.array([_damped(s, lam) for lam in lambdas]), vt
+    return (vt.T * damp(s, (cfg.lam,))[0]) @ u.T
 
 
 def damped_apply(row, damped):
     """`row @ a^+` at every lambda, shape (L, ..., m), for rows (..., k)
-    and `damped = damped_svd(a, lambdas)`: the rows are projected once, and
-    only the damped singular values differ per lambda."""
+    and `damped = (u, damp(s, lambdas), vt)` from `svd(a)`: the rows are
+    projected once, and only the damped singular values differ per
+    lambda."""
     u, coeffs, vt = damped
     return (u @ (coeffs[..., None] * (vt @ row[..., None])))[..., 0]
 

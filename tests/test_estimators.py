@@ -1,5 +1,8 @@
 """The estimator family: exactness identities, equivalences, accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -381,14 +384,38 @@ class TestAccounting:
         out = estimate(obj, x, u, spec_for("stosag", charge_cached=True))
         assert (out.evals, out.cached) == (20, 0)
 
-    def test_lambda_sweep_reuses_values(self):
+    @pytest.mark.parametrize("kind", ESTIMATOR_IDS)
+    def test_lambda_sweep_reuses_values(self, kind):
         obj = CountingObjective(hermite_objective(3, dims=D))
-        x, u = draw_xu(29, n=10)
-        estimate(obj, x, u, spec_for("stosag", 0.0))
-        before = obj.evals
-        out = estimate(obj, x, u, spec_for("stosag", 0.1))
-        assert obj.evals == before
-        assert out.evals == 10
+        x, u = draw_xu(29, n=10, m=5 if kind in SUBSAMPLED_IDS else 10)
+        first = estimate(obj, x, u, spec_for(kind, 0.0))
+        before = (obj.evals, obj.grad_evals)
+        out = estimate(obj, x, u, spec_for(kind, 0.1))
+        assert (obj.evals, obj.grad_evals) == before
+        assert (out.evals, out.cached) == (first.evals, first.cached)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_IDS)
+    def test_ensemble_edited_in_place_is_evaluated_again(self, kind):
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        x, u = draw_xu(34, n=10, m=5 if kind in SUBSAMPLED_IDS else 10)
+        estimate(obj, x, u, spec_for(kind))
+        x.members[:, 0] += 0.5
+        got = estimate(obj, x, u, spec_for(kind))
+        fresh = estimate(CountingObjective(hermite_objective(3, dims=D)), x, u, spec_for(kind))
+        assert np.array_equal(got.grad, fresh.grad)
+
+    def test_memo_holds_no_reference_cycle(self):
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        ref = weakref.ref(obj)
+        gc.disable()
+        try:
+            for kind in ESTIMATOR_IDS:
+                x, u = draw_xu(35, n=10, m=5 if kind in SUBSAMPLED_IDS else 10)
+                estimate(obj, x, u, spec_for(kind))
+            del obj
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_grad_evals_separate_counter(self):
         obj = CountingObjective(hermite_objective(3, dims=D))

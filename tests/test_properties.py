@@ -2,6 +2,8 @@
 and over random matrix stacks for the damped pseudo-inverse.
 Every run draws the same examples (`derandomize`), so a failure replays."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from ensgrad.estimators import (
     estimate_batch,
 )
 from ensgrad.harness import BenchConfig, run_bench
-from ensgrad.linalg import PinvConfig, damped_apply, damped_svd, tikhonov_pinv
+from ensgrad.linalg import PinvConfig, damp, damped_apply, svd, tikhonov_pinv
 from ensgrad.objectives import hermite_objective
 from ensgrad.sampling import Ensemble, GaussianSpec, child_seed, draw_ensemble, recenter
 
@@ -115,7 +117,8 @@ def random_stack(seed, stack, m, k, rank):
 def test_damped_apply_equals_row_times_pinv(seed, stack, m, k, rank, lams):
     a, rng = random_stack(seed, stack, m, k, rank)
     rows = rng.standard_normal((stack, k))
-    got = damped_apply(rows, damped_svd(a, lams))
+    u, s, vt = svd(a)
+    got = damped_apply(rows, (u, damp(s, lams), vt))
     assert got.shape == (len(lams), stack, m)
     for l, lam in enumerate(lams):
         for i in range(stack):
@@ -134,3 +137,42 @@ def test_undamped_pinv_is_moore_penrose(seed, m, k, rank):
     assert np.abs(p @ a @ p - p).max() <= tol * np.abs(p).max()
     assert np.abs(a @ p - (a @ p).T).max() <= tol
     assert np.abs(p @ a - (p @ a).T).max() <= tol
+
+
+ROW_KINDS = ("plain_lls", "fragile", "paired", "stosag", "one_sided", "mirrored2s")
+
+
+def preconditioning_case(kind, seed, d, n, nm, rank):
+    """x-members and recentred controls, the controls of rank at most
+    `rank`, laid out as `kind` needs them, and the sample covariance that
+    the preconditioned form of `kind` pre-multiplies its gradient by."""
+    m = n if kind in ROW_KINDS else max(1, n // nm)
+    n = {"two_sided": 2 * m, "gen_stosag": m * nm, "hybrid": m * nm}.get(kind, n)
+    rng = np.random.default_rng(seed)
+    mean = np.linspace(-2.0, 2.0, d)
+    x = Ensemble(mean[:, None] + 0.5 * rng.standard_normal((d, m)), mean)
+    u = recenter(Ensemble(0.1 * rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n)),
+                          np.zeros(d)))
+    if kind == "two_sided":
+        diff = u.members[:, 0::2] - u.members[:, 1::2]
+        return x, u, diff @ diff.T / (2 * m)
+    if kind == "gen_stosag":
+        g = u.members.reshape(d, m, nm)
+        g = g - g.mean(axis=-1, keepdims=True)
+        return x, u, np.einsum("dmj,emj->de", g, g) / ((nm - 1) * m)
+    return x, u, u.anomalies @ u.anomalies.T / (n - 1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=seeds, order=st.integers(1, 6), d=st.integers(1, 6), n=st.integers(2, 11),
+       nm=st.integers(2, 4), rank=st.integers(1, 6))
+def test_preconditioned_is_plain_times_covariance(seed, order, d, n, nm, rank):
+    # at lambda = 0, g Ut^+ Ut Ut^T = g Ut^T: the preconditioned gradient is
+    # the plain one times the covariance, rank deficient or not
+    obj = hermite_objective(order, dims=d)
+    for kind in ROW_KINDS + ("two_sided", "gen_stosag", "hybrid"):
+        x, u, cov = preconditioning_case(kind, seed, d, n, nm, min(rank, d))
+        spec = EstimatorSpec(kind=kind, subsample_size=nm)
+        plain = estimate(obj, x, u, spec).grad
+        pre = estimate(obj, x, u, replace(spec, precondition=True)).grad
+        assert np.abs(plain @ cov - pre).max() <= 1e-10 * np.abs(pre).max(), kind
