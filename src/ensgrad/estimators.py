@@ -14,7 +14,6 @@ Regularisation and the preconditioned form (trailing `Ut^+` replaced by
 covariance) are handled uniformly through `EstimatorSpec`.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateEnsembleError, DimensionError
 from .linalg import PinvConfig, damp, damped_apply, sample_cross_cov, svd
-from .sampling import Ensemble, decorrelate
+from .sampling import decorrelate, mirror
 
 ESTIMATOR_IDS = (
     "plain_lls",
@@ -81,7 +80,8 @@ class CountingObjective:
     """Wraps an ObjectiveSpec, counting the (x, u) evaluations it makes;
     the four evaluation methods are the ObjectiveSpec's. It evaluates
     every request: a lambda sweep reuses evaluations and factorisations
-    through the memo of `batch()`, kept per pair of ensembles."""
+    through the memo of `batch()`, kept for the latest two pairs of
+    ensembles."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -121,12 +121,17 @@ class CountingObjective:
 
     def batch(self, X, U):
         """A Batch of `X` and `U` on this objective whose memo is the one
-        every earlier batch of the same ensembles used: keyed on the
-        contents of both ensembles' members and true means and on their
-        `recentred` flags, so an ensemble edited in place is a new key."""
+        the last batch of the same ensembles used: keyed on the contents of
+        both ensembles' members and true means and on their `recentred`
+        flags, so an ensemble edited in place is a new key. Only the memos
+        of the latest two pairs are kept, enough for a sweep that alternates
+        (X, U) and (X, VW), so a loop over fresh ensembles stays bounded."""
         key = tuple((e.recentred, e.members.shape, e.members.tobytes(),
                      e.true_mean.shape, e.true_mean.tobytes()) for e in (X, U))
-        return Batch(self, X, U, self._memos.setdefault(key, {}))
+        memo = self._memos[key] = self._memos.pop(key, {})
+        if len(self._memos) > 2:
+            del self._memos[next(iter(self._memos))]
+        return Batch(self, X, U, memo)
 
 
 class Batch:
@@ -242,23 +247,9 @@ def _one_sided(b, spec, lambdas):
 
 def _mirrored2s(b, spec, lambdas):
     _require_paired_recentred(b, "mirrored2s")
-    mirrored = b.once("mirrored", lambda: b.obj.pairs(
-        b.X.members, 2.0 * b.U.true_mean[..., None] - b.U.members))
+    mirrored = b.once("mirrored", lambda: b.obj.pairs(b.X.members, mirror(b.U)))
     row = 0.5 * (b.values() - mirrored)
     return _regress(row, b, spec, lambdas), 2 * b.U.n, 0
-
-
-def _decorrelated(U, psi):
-    """U with each trial's anomalies decorrelated from its row of `psi`.
-    This goes through `decorrelate` trial by trial: its variance-restoring
-    rescale near rank collapse amplifies reassociation noise, so a
-    re-derived vectorisation would not reproduce the estimator bit for bit."""
-    members = U.members.copy()
-    for i in itertools.product(*map(range, psi.shape[:-1])):
-        if psi[i] @ psi[i] > 0.0:
-            trial = Ensemble(members=U.members[i], true_mean=U.true_mean, recentred=True)
-            members[i] = decorrelate(trial, psi[i]).members
-    return Ensemble(members=members, true_mean=U.true_mean, recentred=True)
 
 
 def _decorr(b, spec, lambdas):
@@ -267,7 +258,7 @@ def _decorr(b, spec, lambdas):
 
     def compute():
         base = b.baseline()
-        return _decorrelated(b.U, base - base.mean(axis=-1, keepdims=True)), {}
+        return decorrelate(b.U, base - base.mean(axis=-1, keepdims=True)), {}
 
     dec = Batch(b.obj, b.X, *b.once("decorr", compute))
     return _regress(dec.values(), dec, spec, lambdas), b.U.n, b.X.n

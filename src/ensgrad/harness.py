@@ -3,14 +3,16 @@
 Repeats, over many independent trials, the estimation of the expected
 gradient of a separable Hermite objective under Gaussian control and
 uncertainty ensembles, then aggregates signed per-dimension errors into
-RMSE/bias tables over a regularisation grid. `run_bench` stacks a block's
-trials on a leading axis (in sub-batches of bounded size) and makes one
-`estimate_batch` call per estimator and sub-batch, over the whole lambda
-grid; the estimators share the sub-batch's evaluations and the SVD of its
-control anomalies through one `Batch`. A block hands back, per estimator,
-one (2, L, d) array of summed signed errors and squared errors; `run_bench`
-adds these in task order, on its own process pool or on an `Executor` the
-caller keeps open across calls, and builds the per-key `ErrorStats` once.
+RMSE/bias tables over a regularisation grid. `run_bench` draws a block's
+trials as stacks on a leading axis, in sub-batches of bounded size: each
+trial reads its own child stream, and the factors and the recentring apply
+to the whole sub-batch. It makes one `estimate_batch` call per estimator
+and sub-batch, over the whole lambda grid; the estimators share the
+sub-batch's evaluations, decorrelated controls and SVDs through one
+`Batch`. A block hands back, per estimator, one (2, L, d) array of summed
+signed errors and squared errors; `run_bench` adds these in task order, on
+its own process pool or on an `Executor` the caller keeps open across
+calls, and builds the per-key `ErrorStats` once.
 `run_trial` is the plain composition of per-call `estimate()`s, one trial
 and one lambda at a time, which the tests pin the blocks against. The truth
 is in closed form (`objectives.hermite_expected_grad`).
@@ -44,7 +46,7 @@ from .objectives import (
     rastrigin_blurred,
     rastrigin_eval,
 )
-from .sampling import Ensemble, GaussianSpec, child_seed, decorrelate, rng_from
+from .sampling import Ensemble, GaussianSpec, child_seed, recenter, rng_from
 
 RESULTS_HEADER = ("estimator", "order", "N", "lambda", "rmse", "bias", "evals", "trials")
 TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred")
@@ -226,19 +228,26 @@ def _draw_factors(cfg):
     return x_spec, x_spec.factor(), u_spec, u_spec.factor()
 
 
-def _draw_trial(cfg, factors, n, trial_index, need_vw):
-    """All of a trial's ensembles from one child stream, in a fixed order."""
+def _draw_trials(cfg, factors, n, lo, hi, need_vw):
+    """The ensembles of trials [lo, hi), stacked on a leading axis:
+    x-members (T, d, M), recentred controls (T, d, N) and, when `need_vw`,
+    the pooled controls (T, d, 2M). Each trial draws its raw normals from
+    its own child stream, in that order; the factors and the recentring
+    apply to the whole stack at once."""
     x_spec, lx, u_spec, lu = factors
-    rng = rng_from(child_seed(cfg.base_seed, trial_index))
-    m = cfg.m_members or n
-    x = x_spec.mean[:, None] + lx @ rng.standard_normal((cfg.dims, m))
-    u_raw = u_spec.mean[:, None] + lu @ rng.standard_normal((cfg.dims, n))
-    u = u_raw + (u_spec.mean - u_raw.mean(axis=1))[:, None]
-    vw = None
-    if need_vw:
-        vw_raw = u_spec.mean[:, None] + lu @ rng.standard_normal((cfg.dims, 2 * m))
-        vw = vw_raw + (u_spec.mean - vw_raw.mean(axis=1))[:, None]
-    return x, u, vw
+    d, m, k = cfg.dims, cfg.m_members or n, hi - lo
+    widths = (m, n, 2 * m) if need_vw else (m, n)
+    z = np.empty((k, d * sum(widths)))
+    for i in range(k):
+        rng_from(child_seed(cfg.base_seed, lo + i)).standard_normal(out=z[i])
+    parts = np.split(z, d * np.cumsum(widths[:-1]), axis=1)
+    x = x_spec.mean[:, None] + lx @ parts[0].reshape(k, d, m)
+
+    def controls(part):
+        return recenter(Ensemble(u_spec.mean[:, None] + lu @ part.reshape(k, d, -1),
+                                 u_spec.mean)).members
+
+    return x, controls(parts[1]), (controls(parts[2]) if need_vw else None)
 
 
 def trial_truth(cfg, order, x_members):
@@ -266,7 +275,8 @@ def run_trial(cfg, order, n, trial_index):
     evaluations."""
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     factors = _draw_factors(cfg)
-    x, u, vw = _draw_trial(cfg, factors, n, trial_index, need_vw)
+    x, u, vw = _draw_trials(cfg, factors, n, trial_index, trial_index + 1, need_vw)
+    x, u, vw = x[0], u[0], (vw[0] if need_vw else None)
     x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
     obj = CountingObjective(hermite_objective(order, cfg.dims))
     truth = trial_truth(cfg, order, x)
@@ -307,9 +317,7 @@ def _run_block(cfg, order, n, lo, hi):
     moments, skips = {}, {}
     step = _block_batch_size(cfg.dims, m, n)
     for blo in range(lo, hi, step):
-        draws = [_draw_trial(cfg, factors, n, t, need_vw) for t in range(blo, min(blo + step, hi))]
-        x, u = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
-        vw = np.stack([d[2] for d in draws]) if need_vw else None
+        x, u, vw = _draw_trials(cfg, factors, n, blo, min(blo + step, hi), need_vw)
         x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
         batches = {False: Batch(objective, x_ens, u_ens), True: Batch(objective, x_ens, vw_ens)}
         truth = trial_truth(cfg, order, x)  # (T, d)
@@ -329,7 +337,7 @@ def _run_block(cfg, order, n, lo, hi):
             errors = grads - truth  # (L, T, d)
             acc[0][0] += errors.sum(axis=1)
             acc[0][1] += (errors**2).sum(axis=1)
-            acc[1] += len(draws)
+            acc[1] += len(x)
     return moments, skips
 
 

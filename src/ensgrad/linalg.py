@@ -1,4 +1,4 @@
-"""Centring, cross-covariances, and damped pseudo-inversion.
+"""Cross-covariances and damped pseudo-inversion.
 
 Notation: a matrix `U` holds one ensemble member per column, `Ut` (U-tilde)
 its column anomalies. Everything here is a pure function of ndarray inputs;
@@ -29,15 +29,6 @@ class PinvConfig:
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"damping must be finite and >= 0, got {self.lam}")
-
-
-def center_columns(mat):
-    """Split a (d, N) matrix into (anomalies, column-sample mean)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-    mean = mat.mean(axis=1)
-    return mat - mean[:, None], mean
 
 
 def svd(a):

@@ -1,4 +1,5 @@
-"""Control-ensemble generation and reshaping.
+"""Control-ensemble generation and transforms: recentring, mirroring and
+decorrelation, on one ensemble or a stack of them.
 
 Draws are Gaussian, one member per column. All randomness goes through
 counter-based Philox streams keyed by `(base_seed, *spawn_key)`, so a trial's
@@ -7,7 +8,6 @@ draws replay identically regardless of scheduling or worker count.
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,9 +68,10 @@ class Ensemble:
     """Members (d, N), the true (distributional) mean, and bookkeeping flags.
 
     `recentred` records that the sample mean has been shifted onto
-    `true_mean` exactly; `note` carries degeneracy flags set by
-    `decorrelate`. The estimators also take a stack of ensembles, one per
-    benchmark trial: members (T, d, N) around one true mean."""
+    `true_mean` exactly. A stack of ensembles, one per benchmark trial, has
+    members (..., d, N) around one true mean; the estimators and
+    `decorrelate` take either. `note` carries the degeneracy flag that
+    `decorrelate` sets, one string for the whole stack."""
 
     members: np.ndarray
     true_mean: np.ndarray
@@ -89,14 +90,6 @@ class Ensemble:
     def anomalies(self):
         """Members minus their column-sample mean."""
         return self.members - self.members.mean(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class MirroredPair:
-    """Members `v` and their reflections `w = 2*mu - v` about the mean."""
-
-    v: np.ndarray
-    w: np.ndarray
 
 
 def child_seed(base_seed, *key):
@@ -123,77 +116,58 @@ def draw_ensemble(spec, n, seed):
 
 
 def recenter(e):
-    """Shift members so the sample mean equals `true_mean` exactly.
-    Idempotent."""
+    """Shift members so the sample mean equals `true_mean` exactly, in
+    every trial of a stack. Idempotent."""
     if e.n < 2:
         raise InsufficientSampleError(
             f"recentring needs at least 2 members, got {e.n}"
         )
     if e.recentred:
         return e
-    shift = e.true_mean - e.members.mean(axis=1)
-    return replace(e, members=e.members + shift[:, None], recentred=True)
+    shift = e.true_mean - e.members.mean(axis=-1)
+    return replace(e, members=e.members + shift[..., None], recentred=True)
 
 
 def mirror(e):
-    """Reflect a recentred ensemble about its mean: `v + w = 2*mu`."""
+    """The members of a recentred ensemble (stacked or not) reflected about
+    its mean, `2*mu - v`, so that `v + mirror(e) = 2*mu`."""
     if not e.recentred:
         raise ValueError("mirror requires a recentred ensemble")
-    v = e.members
-    w = 2.0 * e.true_mean[:, None] - v
-    return MirroredPair(v=v, w=w)
-
-
-def partition(e, sizes):
-    """Split columns into consecutive groups of the given sizes, each
-    recentred to `true_mean` individually."""
-    sizes = [int(s) for s in sizes]
-    if sum(sizes) != e.n:
-        raise DimensionError(f"group sizes {sizes} do not sum to N={e.n}")
-    if any(s < 2 for s in sizes):
-        raise InsufficientSampleError(f"every group needs >= 2 members, got {sizes}")
-    groups = []
-    lo = 0
-    for s in sizes:
-        sub = Ensemble(
-            members=e.members[:, lo : lo + s],
-            true_mean=e.true_mean,
-            recentred=False,
-        )
-        groups.append(recenter(sub))
-        lo += s
-    return groups
+    return 2.0 * e.true_mean[:, None] - e.members
 
 
 def decorrelate(e, psi):
     """Project anomaly rows orthogonal to the (centred) row `psi`, restore
     each row's sample variance, then recentre to the mean.
 
-    `psi` is typically the centred row of objective values at the mean
-    control; removing it from the ensemble kills the sampling-noise
-    correlation that the paired estimator would otherwise regress on.
-    Returns `e` unchanged (note "psi-zero") when `psi` has no norm; rows
-    annihilated by the projection are flagged via note "rank-collapse"."""
+    `e` is one recentred ensemble, members (d, N), or a stack of them,
+    members (..., d, N), with one row of `psi` (..., N) per trial. `psi` is
+    typically the centred row of objective values at the mean control;
+    removing it from the ensemble kills the sampling-noise correlation that
+    the paired estimator would otherwise regress on. Both dot products are
+    matmuls, so a stack gives every trial the bits of its own call. Trials
+    whose `psi` has no norm pass through unchanged, without a warning. The
+    note is "rank-collapse" when the projection annihilates some row,
+    otherwise "psi-zero" when every trial's `psi` has no norm."""
     if not e.recentred:
         raise ValueError("decorrelate requires a recentred ensemble")
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (e.n,):
-        raise DimensionError(f"psi has shape {psi.shape}, expected ({e.n},)")
-    psi = psi - psi.mean()  # input contract is a centred row; harmless repeat
-    nrm2 = float(psi @ psi)
-    if nrm2 == 0.0:
-        warnings.warn("decorrelate: psi has zero norm, ensemble unchanged")
-        return replace(e, note="psi-zero")
+    if psi.shape != e.members.shape[:-2] + (e.n,):
+        raise DimensionError(
+            f"psi has shape {psi.shape}, expected {e.members.shape[:-2] + (e.n,)}")
+    psi = psi - psi.mean(axis=-1, keepdims=True)  # contract is a centred row; harmless repeat
+    nrm2 = psi[..., None, :] @ psi[..., :, None]  # (..., 1, 1)
+    zero = nrm2 == 0.0
 
     a0 = e.members - e.true_mean[:, None]  # anomalies (sample mean == mu)
-    a1 = a0 - np.outer(a0 @ psi, psi) / nrm2
+    a1 = a0 - (a0 @ psi[..., None]) * psi[..., None, :] / np.where(zero, 1.0, nrm2)
     # psi is centred, so row means are untouched; rescale row spreads back.
-    s0 = np.linalg.norm(a0, axis=1)
-    s1 = np.linalg.norm(a1, axis=1)
-    collapsed = s1 <= COLLAPSE_RTOL * s0
+    s0 = np.linalg.norm(a0, axis=-1)
+    s1 = np.linalg.norm(a1, axis=-1)
+    collapsed = (s1 <= COLLAPSE_RTOL * s0) & (s0 > 0.0)
     scale = np.where(collapsed | (s0 == 0.0), 1.0, s0 / np.where(s1 > 0, s1, 1.0))
-    members = e.true_mean[:, None] + a1 * scale[:, None]
-    note = "rank-collapse" if np.any(collapsed & (s0 > 0)) else ""
+    members = np.where(zero, e.members, e.true_mean[:, None] + a1 * scale[..., None])
+    note = "rank-collapse" if collapsed.any() else "psi-zero" if zero.all() else ""
     return Ensemble(members=members, true_mean=e.true_mean, recentred=True, note=note)
 
 

@@ -417,6 +417,20 @@ class TestAccounting:
         finally:
             gc.enable()
 
+    def test_memos_stay_bounded_over_fresh_ensembles(self):
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        x, u = draw_xu(36, n=3)
+        for step in range(10_000):
+            estimate(obj, Ensemble(x.members + step, x.true_mean), u, spec_for("stosag"))
+        assert len(obj._memos) <= 2
+        # a sweep alternating (X, U) and (X, VW) still reuses both pairs
+        vw = recenter(draw_ensemble(U_SPEC, 6, child_seed(36, 2)))
+        for lam in (0.0, 0.1):
+            before = obj.evals
+            estimate(obj, x, u, spec_for("stosag", lam))
+            estimate(obj, x, vw, spec_for("two_sided", lam))
+        assert obj.evals == before
+
     def test_grad_evals_separate_counter(self):
         obj = CountingObjective(hermite_objective(3, dims=D))
         x, u = draw_xu(30, n=6, m=4)

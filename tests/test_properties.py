@@ -16,10 +16,18 @@ from ensgrad.estimators import (
     estimate,
     estimate_batch,
 )
-from ensgrad.harness import BenchConfig, run_bench
+from ensgrad.harness import BenchConfig, _draw_factors, _draw_trials, run_bench
 from ensgrad.linalg import PinvConfig, damp, damped_apply, svd, tikhonov_pinv
 from ensgrad.objectives import hermite_objective
-from ensgrad.sampling import Ensemble, GaussianSpec, child_seed, draw_ensemble, recenter
+from ensgrad.sampling import (
+    Ensemble,
+    GaussianSpec,
+    child_seed,
+    decorrelate,
+    draw_ensemble,
+    recenter,
+    rng_from,
+)
 
 D = 3
 X_SPEC = GaussianSpec(np.linspace(-2.0, 2.0, D), 0.25)
@@ -176,3 +184,64 @@ def test_preconditioned_is_plain_times_covariance(seed, order, d, n, nm, rank):
         plain = estimate(obj, x, u, spec).grad
         pre = estimate(obj, x, u, replace(spec, precondition=True)).grad
         assert np.abs(plain @ cov - pre).max() <= 1e-10 * np.abs(pre).max(), kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, d=st.integers(1, 6), n=st.integers(3, 100),
+       lead=st.sampled_from(((), (5,), (2, 3))), zeros=st.integers(0, 3), collapse=st.booleans())
+def test_stacked_decorrelate_equals_one_call_per_trial(seed, d, n, lead, zeros, collapse):
+    # the first `zeros` trials get a zero psi, the last one (if `collapse`)
+    # a psi equal to one of its own anomaly rows, which the projection
+    # annihilates
+    rng = np.random.default_rng(seed)
+    mu = rng.standard_normal(d)
+    a = rng.standard_normal(lead + (d, n)) * 10.0 ** rng.uniform(-3, 1)
+    stack = Ensemble(mu[:, None] + a - a.mean(axis=-1, keepdims=True), mu, recentred=True)
+    trials = stack.members.reshape(-1, d, n)
+    psi = rng.standard_normal((len(trials), n))
+    psi[:zeros] = 0.0
+    if collapse:
+        psi[-1] = trials[-1, 0] - mu[0]
+    got = decorrelate(stack, psi.reshape(lead + (n,)))
+    each = [decorrelate(Ensemble(t, mu, recentred=True), p) for t, p in zip(trials, psi)]
+    assert got.members.shape == stack.members.shape
+    assert np.array_equal(got.members.reshape(-1, d, n), np.stack([e.members for e in each]))
+    notes = {e.note for e in each}
+    want = "rank-collapse" if "rank-collapse" in notes else "psi-zero" if notes == {"psi-zero"} else ""
+    assert got.note == want
+    for t, p, e in zip(trials, psi, each):
+        if e.note == "psi-zero":
+            assert np.array_equal(e.members, t)
+        else:
+            assert np.array_equal(e.members, decorrelate_with_vector_dots(t, mu, p))
+
+
+def decorrelate_with_vector_dots(members, mu, psi):
+    """One trial's decorrelated members, written with 1-D dot products."""
+    psi = psi - psi.mean()
+    a0 = members - mu[:, None]
+    a1 = a0 - np.outer(a0 @ psi, psi) / float(psi @ psi)
+    s0, s1 = np.linalg.norm(a0, axis=1), np.linalg.norm(a1, axis=1)
+    keep = (s1 <= 1e-9 * s0) | (s0 == 0.0)
+    return mu[:, None] + a1 * np.where(keep, 1.0, s0 / np.where(s1 > 0, s1, 1.0))[:, None]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=seeds, dims=st.integers(1, 6), n=st.integers(2, 30),
+       m=st.one_of(st.none(), st.integers(2, 30)), lo=st.integers(0, 100), k=st.integers(1, 6),
+       need_vw=st.booleans(), u_cov=st.sampled_from((0.01, (0.04, 0.01, 0.09, 0.01, 0.02, 0.03))))
+def test_stacked_draws_equal_one_draw_per_trial(seed, dims, n, m, lo, k, need_vw, u_cov):
+    cfg = BenchConfig(base_seed=seed, dims=dims, m_members=m,
+                      u_cov=u_cov if np.isscalar(u_cov) else np.array(u_cov[:dims]))
+    factors = _draw_factors(cfg)
+    got = _draw_trials(cfg, factors, n, lo, lo + k, need_vw)
+    rows = [_draw_trials(cfg, factors, n, t, t + 1, need_vw) for t in range(lo, lo + k)]
+    for i, part in enumerate(got):
+        if i == 2 and not need_vw:
+            assert part is None and all(r[i] is None for r in rows)
+            continue
+        assert np.array_equal(part, np.concatenate([r[i] for r in rows]))
+    # each trial's x-members come first in its own child stream
+    x_spec, lx, _, _ = factors
+    z = rng_from(child_seed(seed, lo)).standard_normal((dims, m or n))
+    assert np.array_equal(got[0][0], x_spec.mean[:, None] + lx @ z)

@@ -1,16 +1,18 @@
 """Ensemble draws, reshaping, and the decorrelation transform."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ensgrad.errors import DimensionError, InsufficientSampleError
 from ensgrad.sampling import (
+    Ensemble,
     GaussianSpec,
     child_seed,
     decorrelate,
     draw_ensemble,
     mirror,
-    partition,
     read_ensemble_csv,
     recenter,
     rng_from,
@@ -71,6 +73,12 @@ class TestRecenter:
         again = recenter(e)
         assert np.array_equal(e.members, again.members)
 
+    def test_stack_recentred_per_trial(self):
+        trials = [draw_ensemble(SPEC3, 7, child_seed(5, t)) for t in range(4)]
+        stack = recenter(Ensemble(np.stack([e.members for e in trials]), SPEC3.mean))
+        assert stack.recentred
+        assert np.array_equal(stack.members, np.stack([recenter(e).members for e in trials]))
+
     def test_needs_two_members(self):
         with pytest.raises(InsufficientSampleError):
             recenter(draw_ensemble(SPEC3, 1, 5))
@@ -83,44 +91,23 @@ class TestMirror:
 
     def test_reflection_sums_to_two_mu(self):
         e = recenter(draw_ensemble(SPEC3, 6, 1))
-        pair = mirror(e)
-        assert np.abs(pair.v + pair.w - 2.0 * e.true_mean[:, None]).max() < 1e-15
+        assert np.abs(e.members + mirror(e) - 2.0 * e.true_mean[:, None]).max() < 1e-15
 
     def test_pooled_covariance_identity_zero_mean(self):
         # with mu = 0 the reflection is an exact negation, so the pooled
         # second moment over 2N members equals Ut Ut^T / N bitwise-tight
         e = recenter(draw_ensemble(GaussianSpec(np.zeros(3), 1.0), 9, 2))
-        pair = mirror(e)
-        pooled = np.concatenate([pair.v, pair.w], axis=1)
+        pooled = np.concatenate([e.members, mirror(e)], axis=1)
         lhs = pooled @ pooled.T / pooled.shape[1]
         ut = e.members - e.true_mean[:, None]
         assert np.abs(lhs - ut @ ut.T / e.n).max() < 1e-15
 
     def test_pooled_covariance_identity_general_mean(self):
         e = recenter(draw_ensemble(SPEC3, 9, 2))
-        pair = mirror(e)
-        pooled = np.concatenate([pair.v, pair.w], axis=1)
+        pooled = np.concatenate([e.members, mirror(e)], axis=1)
         anoms = pooled - pooled.mean(axis=1, keepdims=True)
         ut = e.members - e.true_mean[:, None]
         assert np.abs(anoms @ anoms.T / pooled.shape[1] - ut @ ut.T / e.n).max() < 1e-13
-
-
-class TestPartition:
-    def test_groups_recentred_individually(self):
-        e = draw_ensemble(SPEC3, 10, 4)
-        groups = partition(e, [2, 3, 5])
-        assert [g.n for g in groups] == [2, 3, 5]
-        for g in groups:
-            assert g.recentred
-            assert np.abs(g.members.mean(axis=1) - e.true_mean).max() < 1e-14
-
-    def test_sizes_must_sum(self):
-        with pytest.raises(DimensionError):
-            partition(draw_ensemble(SPEC3, 10, 4), [2, 3])
-
-    def test_singleton_group_rejected(self):
-        with pytest.raises(InsufficientSampleError):
-            partition(draw_ensemble(SPEC3, 3, 4), [1, 2])
 
 
 class TestDecorrelate:
@@ -160,8 +147,10 @@ class TestDecorrelate:
         assert np.allclose(a.members, b.members)
 
     def test_zero_psi_warns_and_passes_through(self):
+        # the note is the one report of a zero psi; no warning is raised
         e = self._ens()
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = decorrelate(e, np.zeros(e.n))
         assert out.note == "psi-zero"
         assert np.array_equal(out.members, e.members)
