@@ -10,6 +10,7 @@ from ensgrad.errors import DegenerateEnsembleError, DimensionError
 from ensgrad.estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
+    Batch,
     CountingObjective,
     EstimatorSpec,
     estimate,
@@ -229,6 +230,22 @@ class TestDecorr:
 
 
 class TestSubsampled:
+    def test_groups_recentred_individually(self):
+        # each x-member's subsample of nm consecutive controls is centred
+        # about its own mean, on one trial and on a stack of trials alike
+        x, u = draw_xu(15, n=12, m=4)
+        anoms = Batch(rand_bilinear(15), x, u).group_anomalies(3)
+        assert anoms.shape == (4, D, 3)
+        for m in range(4):
+            group = u.members[:, 3 * m:3 * m + 3]
+            assert np.array_equal(anoms[m], group - group.mean(axis=1, keepdims=True))
+        assert np.abs(anoms.mean(axis=-1)).max() < 1e-15
+        stack = Ensemble(np.stack([u.members, 2.0 * u.members]), u.true_mean, recentred=True)
+        xs = Ensemble(np.stack([x.members, x.members]), x.true_mean)
+        both = Batch(rand_bilinear(15), xs, stack).group_anomalies(3)
+        assert np.array_equal(both[0], anoms)
+        assert np.array_equal(both[1], 2.0 * anoms)
+
     def test_two_sided_rejects_equal_pair(self):
         x, _ = draw_xu(16, n=4)
         members = np.repeat(draw_ensemble(U_SPEC, 4, 16).members, 2, axis=1)

@@ -93,6 +93,11 @@ class TestMirror:
         e = recenter(draw_ensemble(SPEC3, 6, 1))
         assert np.abs(e.members + mirror(e) - 2.0 * e.true_mean[:, None]).max() < 1e-15
 
+    def test_stack_mirrored_per_trial(self):
+        trials = [recenter(draw_ensemble(SPEC3, 5, child_seed(8, t))) for t in range(3)]
+        stack = Ensemble(np.stack([e.members for e in trials]), SPEC3.mean, recentred=True)
+        assert np.array_equal(mirror(stack), np.stack([mirror(e) for e in trials]))
+
     def test_pooled_covariance_identity_zero_mean(self):
         # with mu = 0 the reflection is an exact negation, so the pooled
         # second moment over 2N members equals Ut Ut^T / N bitwise-tight
