@@ -32,6 +32,7 @@ from .estimators import (
     estimate,
 )
 from .harness import (
+    BLOCK_TRIALS,
     BenchConfig,
     ConfigError,
     DescentConfig,
@@ -124,7 +125,10 @@ def _cmd_bench(args):
     os.makedirs(args.out, exist_ok=True)
     rows, notes, failures = [], [], []
     cells = [(order, n) for order in cfg.hermite_orders for n in cfg.ensemble_sizes]
-    # one pool for all cells; each cell's blocks are all back before its line prints
+    # blocks of at most BLOCK_TRIALS trials, so runs of that many trials or fewer
+    # make one block per cell; one pool for all cells, and each cell's blocks
+    # are all back before its line prints
+    blocks_per_cell = math.ceil(cfg.n_trials / BLOCK_TRIALS)
     pool = None
     try:
         for i, (order, n) in enumerate(cells):
@@ -132,7 +136,8 @@ def _cmd_bench(args):
                 pool = harness.ProcessPoolExecutor(max_workers=args.workers)
             cell_cfg = replace(cfg, hermite_orders=(order,), ensemble_sizes=(n,))
             try:
-                res = run_bench(cell_cfg, workers=pool or args.workers)
+                res = run_bench(cell_cfg, workers=pool or args.workers,
+                                blocks_per_cell=blocks_per_cell)
                 cell_rows = aggregate(res.stats)
                 finite = [r for r in cell_rows if math.isfinite(r.rmse) and math.isfinite(r.bias)]
                 rows.extend(finite)
@@ -181,8 +186,9 @@ def _write_rows_csv(path, header, rows):
 
 
 def _cmd_rastrigin(args):
-    if args.step < 0 or args.steps < 1:
-        print("invalid descent configuration: step must be >= 0, steps >= 1", file=sys.stderr)
+    if not (math.isfinite(args.step) and args.step >= 0) or args.steps < 1:
+        print("invalid descent configuration: step must be finite and >= 0, steps >= 1",
+              file=sys.stderr)
         return 2
     cfg = DescentConfig(step=args.step, n_steps=args.steps)
     runs = run_rastrigin_demo(cfg)

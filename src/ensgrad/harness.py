@@ -12,7 +12,9 @@ sub-batch's evaluations, decorrelated controls and SVDs through one
 `Batch`. A block hands back, per estimator, one (2, L, d) array of summed
 signed errors and squared errors; `run_bench` adds these in task order, on
 its own process pool or on an `Executor` the caller keeps open across
-calls, and builds the per-key `ErrorStats` once.
+calls, and builds the per-key `ErrorStats` once. The CLI sizes its blocks
+in trials, at most `BLOCK_TRIALS` each, so a short run is one block per
+cell. `aggregate` turns the stats into RMSE/bias rows in one array pass.
 `run_trial` is the plain composition of per-call `estimate()`s, one trial
 and one lambda at a time, which the tests pin the blocks against. The truth
 is in closed form (`objectives.hermite_expected_grad`).
@@ -53,6 +55,10 @@ TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred
 
 DEFAULT_LAMBDAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0)
 DEFAULT_SIZES = (3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100)
+# Trials per block of the CLI's runs: the block of the default 10^4-trial run
+# at run_bench's 50 blocks per cell, so that run keeps its bits while shorter
+# runs make fewer, larger blocks.
+BLOCK_TRIALS = 200
 
 
 class ConfigError(ValueError):
@@ -377,10 +383,14 @@ def _stats_of(cfg, order, n, moments):
 
 def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=None):
     """Run the full benchmark grid. `workers` is a process count, or an
-    open `Executor` to run the blocks on, which is left open. Each block
+    open `Executor` to run the blocks on, which is left open. Each (order,
+    N) cell's trials split evenly into `blocks_per_cell` blocks (the CLI
+    passes enough for at most `BLOCK_TRIALS` trials each). Each block
     returns its error moments as arrays, and they are summed in task
     order, not completion order, so results are bit-identical for any
-    `workers`; the per-key `ErrorStats` are built once, at the end.
+    `workers`; the per-key `ErrorStats` are built once, at the end. A
+    different split sums the same trials in another order, which can move
+    the last bits once a block spans several sub-batches.
     `progress(i, n_blocks)` is called as each block is summed."""
     import time
 
@@ -440,14 +450,16 @@ class ResultRow:
 
 def aggregate(stats):
     """RMSE/bias rows: per-dimension moments over trials, then averaged
-    across dimensions (so rmse^2 >= bias^2 holds per dimension)."""
-    rows = []
-    for (est, order, n, lam), st in stats.items():
-        if st.n == 0:
-            continue
-        rmse = float(np.sqrt(st.sum_sq / st.n).mean())
-        bias = float(np.abs(st.sum_err / st.n).mean())
-        rows.append(ResultRow(est, order, n, lam, rmse, bias, st.evals, st.n))
+    across dimensions (so rmse^2 >= bias^2 holds per dimension). Keys with
+    no trials are left out. One array pass over all keys."""
+    kept = [(key, st) for key, st in stats.items() if st.n != 0]
+    if not kept:
+        return []
+    trials = np.array([st.n for _, st in kept], dtype=float)[:, None]
+    rmse = np.sqrt(np.stack([st.sum_sq for _, st in kept]) / trials).mean(axis=1)
+    bias = np.abs(np.stack([st.sum_err for _, st in kept]) / trials).mean(axis=1)
+    rows = [ResultRow(*key, r, b, st.evals, st.n)
+            for (key, st), r, b in zip(kept, rmse.tolist(), bias.tolist())]
     rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
     return rows
 

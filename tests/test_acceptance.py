@@ -146,6 +146,7 @@ def test_criterion_2_algebraic_identities(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_rmse_orderings(full_bench, capsys):
     cfg, res = full_bench["cfg"], full_bench["res"]
     best = full_bench["best_rmse"]
@@ -200,6 +201,7 @@ def test_criterion_3_rmse_orderings(full_bench, capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_bias_suite(full_bench, capsys):
     cfg, res = full_bench["cfg"], full_bench["res"]
     best_bias = full_bench["best_bias"]

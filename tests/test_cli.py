@@ -162,10 +162,10 @@ class TestBench:
 
         real = cli_mod.run_bench
 
-        def flaky(cfg, workers=1):
+        def flaky(cfg, workers=1, **kwargs):
             if cfg.hermite_orders == (1,):
                 raise RuntimeError("synthetic cell failure")
-            return real(cfg, workers=workers)
+            return real(cfg, workers=workers, **kwargs)
 
         monkeypatch.setattr(cli_mod, "run_bench", flaky)
         cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 1]))
@@ -177,6 +177,23 @@ class TestBench:
         assert rows and all(r.order == 0 for r in rows)
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
+
+    @pytest.mark.parametrize("trials, blocks", [(3, 1), (200, 1), (201, 2)])
+    def test_blocks_hold_at_most_200_trials(self, tmp_path, capsys, monkeypatch, trials, blocks):
+        import ensgrad.cli as cli_mod
+
+        real, got = cli_mod.run_bench, []
+
+        def bench(cfg, workers=1, **kwargs):
+            got.append(kwargs["blocks_per_cell"])
+            return real(cfg, workers=workers, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_bench", bench)
+        cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 2]))
+        rc, _, _ = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "out",
+                       "--trials", trials)
+        assert rc == 0
+        assert got == [blocks, blocks]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
@@ -216,9 +233,9 @@ class TestBench:
                 super().__init__(*a, **kw)
                 pools.append(self)
 
-        def bench(cfg, workers=1):
+        def bench(cfg, workers=1, **kwargs):
             calls.append(workers)
-            return real_bench(cfg, workers=workers)
+            return real_bench(cfg, workers=workers, **kwargs)
 
         monkeypatch.setattr(harness_mod, "_run_block", block)  # forked workers inherit it
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Pool)
@@ -347,6 +364,14 @@ class TestRastrigin:
         rc, _, err = run(capsys, "rastrigin", "--out", tmp_path / "x", "--step", "-0.01")
         assert rc == 2
         assert "step" in err
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, step):
+        out = tmp_path / "x"
+        rc, _, err = run(capsys, "rastrigin", "--out", out, f"--step={step}")
+        assert rc == 2
+        assert "step must be finite" in err
+        assert not out.exists()
 
     def test_zero_steps_exits_2(self, tmp_path, capsys):
         assert run(capsys, "rastrigin", "--out", tmp_path / "x", "--steps", "0")[0] == 2

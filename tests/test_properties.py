@@ -5,6 +5,7 @@ Every run draws the same examples (`derandomize`), so a failure replays."""
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,15 @@ from ensgrad.estimators import (
     estimate,
     estimate_batch,
 )
-from ensgrad.harness import BenchConfig, _draw_factors, _draw_trials, run_bench
+from ensgrad.harness import (
+    DEFAULT_SIZES,
+    BenchConfig,
+    ErrorStats,
+    _draw_factors,
+    _draw_trials,
+    aggregate,
+    run_bench,
+)
 from ensgrad.linalg import PinvConfig, damp, damped_apply, svd, tikhonov_pinv
 from ensgrad.objectives import hermite_objective
 from ensgrad.sampling import (
@@ -106,6 +115,59 @@ def test_worker_count_does_not_change_stats(n, order, lam, seed):
         assert np.array_equal(s.sum_sq, two.stats[key].sum_sq)
         assert (s.n, s.evals, s.cached) == (two.stats[key].n, two.stats[key].evals,
                                              two.stats[key].cached)
+
+
+@pytest.mark.parametrize("cfg", [
+    BenchConfig(base_seed=5, n_trials=25),
+    BenchConfig(n_trials=40, ensemble_sizes=(3, 15, 100)),
+], ids=["t25-seed5", "t40"])
+def test_one_block_equals_one_block_per_trial(cfg):
+    # at N=100 a sub-batch holds 40 trials, so each block here is one sub-batch
+    one = run_bench(cfg, blocks_per_cell=1)
+    per_trial = run_bench(cfg, blocks_per_cell=cfg.n_trials)
+    assert 100 in cfg.ensemble_sizes and list(one.stats) == list(per_trial.stats)
+    for key, s in one.stats.items():
+        t = per_trial.stats[key]
+        assert np.array_equal(s.sum_err, t.sum_err) and np.array_equal(s.sum_sq, t.sum_sq)
+        assert (s.n, s.evals, s.cached) == (t.n, t.evals, t.cached)
+    assert one.skips == per_trial.skips
+
+
+def aggregate_per_row(stats):
+    """`aggregate` one key at a time: the reference its array pass matches."""
+    rows = []
+    for (est, order, n, lam), s in stats.items():
+        if s.n == 0:
+            continue
+        rmse = float(np.sqrt(s.sum_sq / s.n).mean())
+        bias = float(np.abs(s.sum_err / s.n).mean())
+        rows.append((est, order, n, lam, rmse, bias, s.evals, s.n))
+    rows.sort(key=lambda r: (r[1], r[2], ESTIMATOR_IDS.index(r[0]), r[3]))
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, d=st.integers(1, 20), keys=st.integers(0, 60), empty=st.floats(0.0, 1.0))
+def test_aggregate_equals_per_row_formula(seed, d, keys, empty):
+    rng = rng_from(child_seed(seed, 0))
+    stats = {}
+    for i in range(keys):
+        key = (ESTIMATOR_IDS[rng.integers(len(ESTIMATOR_IDS))], int(rng.integers(0, 7)),
+               int(rng.choice(DEFAULT_SIZES)), float(rng.choice((0.0, 1e-3, 1.0))) + i)
+        n = 0 if rng.random() < empty else int(rng.integers(1, 10_001))
+        scale = 10.0 ** rng.uniform(-8, 8, size=d)
+        stats[key] = ErrorStats(rng.normal(size=d) * scale * n, rng.random(d) * scale**2 * n,
+                                n, int(rng.integers(0, 500)), int(rng.integers(0, 50)))
+    got = [(r.estimator, r.order, r.n, r.lam, r.rmse, r.bias, r.evals, r.trials)
+           for r in aggregate(stats)]
+    want = aggregate_per_row(stats)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert len(got) == sum(s.n > 0 for s in stats.values())
+
+
+def test_aggregate_of_nothing_is_empty():
+    assert aggregate({}) == []
+    assert aggregate({("stosag", 2, 5, 0.0): ErrorStats.empty(3)}) == []
 
 
 def random_stack(seed, stack, m, k, rank):
