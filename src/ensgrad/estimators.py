@@ -6,9 +6,11 @@ trial axes, give gradient rows (L, ..., du) for a grid of L damping values,
 plus the evaluations charged per trial. `estimate()` is that call on one
 unstacked trial at one lambda; the benchmark harness makes it once per
 estimator and block of trials, with a `Batch` that lets the estimators of a
-block share their evaluations and factorisations. A lambda sweep of
-`estimate()` calls shares them through the Batch memo that a
-`CountingObjective` keeps per pair of ensembles.
+block share their evaluations and factorisations; the factorisations do
+not depend on the objective, so Batches of several objectives on the same
+ensembles can share them too. A lambda sweep of `estimate()` calls shares
+both through the Batch memo that a `CountingObjective` keeps per pair of
+ensembles.
 Regularisation and the preconditioned form (trailing `Ut^+` replaced by
 `Ut^T/(N-1)`, i.e. the gradient pre-multiplied by the sample control
 covariance) are handled uniformly through `EstimatorSpec`.
@@ -131,26 +133,33 @@ class CountingObjective:
         memo = self._memos[key] = self._memos.pop(key, {})
         if len(self._memos) > 2:
             del self._memos[next(iter(self._memos))]
-        return Batch(self, X, U, memo)
+        return Batch(self, X, U, memo, memo)
 
 
 class Batch:
     """x-members `X` and controls `U` (Ensembles, stacked or not) on an
-    objective, with what several estimators on them share: evaluations,
-    the decorrelated controls and SVDs, each computed on first use into
-    `memo`. The memo never holds a Batch or the objective, so a memo kept
-    by a CountingObjective makes no reference cycle. `objective` is an
+    objective, with what several estimators on them share, each computed on
+    first use. Evaluations and the decorrelated controls depend on the
+    objective and go into `memo`; the SVDs and the subsample anomalies
+    depend only on `U` (grouped by the size of `X`) and go into `shared`,
+    which Batches of other objectives on the same `X` and `U` may pass too
+    (default: `memo`). Neither
+    memo ever holds a Batch or the objective, so a memo kept by a
+    CountingObjective makes no reference cycle. `objective` is an
     ObjectiveSpec or a CountingObjective."""
 
-    def __init__(self, objective, X, U, memo=None):
+    def __init__(self, objective, X, U, memo=None, shared=None):
         self.obj, self.X, self.U = objective, X, U
         self._memo = {} if memo is None else memo
+        self._shared = self._memo if shared is None else shared
 
-    def once(self, key, compute):
-        """`compute()`, evaluated on the first call with this key only."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    def once(self, key, compute, shared=False):
+        """`compute()`, evaluated on the first call with this key only; kept
+        in the shared memo when `shared`, for work that reads only `U`."""
+        memo = self._shared if shared else self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def values(self):
         """loss(x_n, u_n), (..., N)."""
@@ -162,15 +171,15 @@ class Batch:
                                                              self.U.true_mean[..., None]))
 
     def damped(self, name, matrix, lambdas):
-        """`(u, damp(s, lambdas), vt)` for the SVD of `matrix`, which is
-        factored once per `name`: a name stands for one matrix of this
-        batch (the group size is fixed by the batch's M and N)."""
+        """`(u, damp(s, lambdas), vt)` for the SVD of `matrix()`, which is
+        built and factored once per `name`: a name stands for one matrix
+        of `U` (the group size is fixed by the batch's M and N)."""
 
         def compute():
-            u, s, vt = self.once(("svd", name), lambda: svd(matrix))
+            u, s, vt = self.once(("svd", name), lambda: svd(matrix()), shared=True)
             return u, damp(s, lambdas), vt
 
-        return self.once(("damped", name, lambdas), compute)
+        return self.once(("damped", name, lambdas), compute, shared=True)
 
     def group_rows(self, nm):
         """Each x-member's values on its own subsample of `nm` consecutive
@@ -190,7 +199,7 @@ class Batch:
             g = np.moveaxis(U.reshape(U.shape[:-1] + (self.X.n, nm)), -2, -3)
             return g - g.mean(axis=-1, keepdims=True)
 
-        return self.once(("anomalies", nm), compute)
+        return self.once(("anomalies", nm), compute, shared=True)
 
 
 def _require_paired(b, kind):
@@ -213,7 +222,7 @@ def _regress(row, b, spec, lambdas):
     preconditioned form."""
     if spec.precondition:
         return _each_lambda(sample_cross_cov(row, b.U.anomalies), lambdas)
-    return damped_apply(row, b.damped("U", b.U.anomalies, lambdas))
+    return damped_apply(row, b.damped("U", lambda: b.U.anomalies, lambdas))
 
 
 def _plain_lls(b, spec, lambdas):
@@ -260,6 +269,8 @@ def _decorr(b, spec, lambdas):
         base = b.baseline()
         return decorrelate(b.U, base - base.mean(axis=-1, keepdims=True)), {}
 
+    # the decorrelated controls depend on the objective, so their SVD goes
+    # into the inner Batch's own memo, never into `b`'s shared one
     dec = Batch(b.obj, b.X, *b.once("decorr", compute))
     return _regress(dec.values(), dec, spec, lambdas), b.U.n, b.X.n
 
@@ -278,7 +289,7 @@ def _two_sided(b, spec, lambdas):
     if spec.precondition:
         grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
     else:
-        grad = damped_apply(row, b.damped("diff", diff, lambdas))
+        grad = damped_apply(row, b.damped("diff", lambda: diff, lambdas))
     return grad, 2 * b.X.n, 0
 
 
@@ -297,7 +308,8 @@ def _average_lls(b, spec, lambdas):
     if spec.precondition:
         return _each_lambda(sample_cross_cov(rows, anoms).mean(axis=-2), lambdas), b.U.n, 0
     if spec.subsample_size > 2:
-        return damped_apply(rows, b.damped("groups", anoms, lambdas)).mean(axis=-2), b.U.n, 0
+        grad = damped_apply(rows, b.damped("groups", lambda: anoms, lambdas))
+        return grad.mean(axis=-2), b.U.n, 0
     # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
     vt = anoms[..., 0]
     nrm2 = (vt * vt).sum(axis=-1)
@@ -331,7 +343,7 @@ def _gen_stosag(b, spec, lambdas):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
     if spec.precondition:
         return _each_lambda(c_mean, lambdas), b.U.n, 0
-    return damped_apply(c_mean, b.damped("cov_mean", cov_mean, lambdas)), b.U.n, 0
+    return damped_apply(c_mean, b.damped("cov_mean", lambda: cov_mean, lambdas)), b.U.n, 0
 
 
 def _hybrid(b, spec, lambdas):
@@ -339,10 +351,13 @@ def _hybrid(b, spec, lambdas):
     c_mean, _ = _group_cross_moments(b, spec, "hybrid")
     if spec.precondition:
         return _each_lambda(c_mean, lambdas), b.U.n, 0
-    pooled = b.U.anomalies
-    # matmul: this covariance has a near-null tail that amplifies any
-    # last-bit difference at lambda = 0
-    cov_pool = pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
+
+    def cov_pool():
+        # matmul: this covariance has a near-null tail that amplifies any
+        # last-bit difference at lambda = 0
+        pooled = b.U.anomalies
+        return pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
+
     return damped_apply(c_mean, b.damped("cov_pool", cov_pool, lambdas)), b.U.n, 0
 
 

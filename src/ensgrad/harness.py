@@ -6,15 +6,20 @@ uncertainty ensembles, then aggregates signed per-dimension errors into
 RMSE/bias tables over a regularisation grid. `run_bench` draws a block's
 trials as stacks on a leading axis, in sub-batches of bounded size: each
 trial reads its own child stream, and the factors and the recentring apply
-to the whole sub-batch. It makes one `estimate_batch` call per estimator
-and sub-batch, over the whole lambda grid; the estimators share the
-sub-batch's evaluations, decorrelated controls and SVDs through one
-`Batch`. A block hands back, per estimator, one (2, L, d) array of summed
-signed errors and squared errors; `run_bench` adds these in task order, on
-its own process pool or on an `Executor` the caller keeps open across
-calls, and builds the per-key `ErrorStats` once. The CLI sizes its blocks
-in trials, at most `BLOCK_TRIALS` each, so a short run is one block per
-cell. `aggregate` turns the stats into RMSE/bias rows in one array pass.
+to the whole sub-batch. Trial t reads the same stream for every Hermite
+order, so the blocks of all orders at one N and trial range are one task:
+it draws the sub-batches once, and the orders share their ensembles and the
+controls' SVDs and subsample anomalies. Per order it makes one
+`estimate_batch` call per estimator and sub-batch, over the whole lambda
+grid; the estimators share the sub-batch's evaluations, decorrelated
+controls and SVDs through one `Batch`. A block hands back, per estimator,
+one (2, L, d) array of summed signed errors and squared errors;
+`run_bench` adds each cell's blocks in trial order, on its own process
+pool or on an `Executor` the caller keeps open across calls, and builds
+the per-key `ErrorStats` once. The CLI sizes its blocks in trials, at most
+`BLOCK_TRIALS` each, so a short run is one block per cell; it runs one
+order per `run_bench` call. `aggregate` turns the stats into RMSE/bias
+rows in one array pass.
 `run_trial` is the plain composition of per-call `estimate()`s, one trial
 and one lambda at a time, which the tests pin the blocks against. The truth
 is in closed form (`objectives.hermite_expected_grad`).
@@ -117,11 +122,14 @@ class BenchConfig:
             not np.isfinite(l) or l < 0 for l in self.lambda_grid
         ):
             problems.append(f"lambda_grid: expected finite values >= 0, got {self.lambda_grid!r}")
-        elif len(set(self.lambda_grid)) < len(self.lambda_grid):
-            problems.append(f"lambda_grid: repeated values in {self.lambda_grid!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if not self.estimators or unknown:
             problems.append(f"estimators: unknown ids {unknown!r}, known: {list(ESTIMATOR_IDS)}")
+        # a repeated entry would run, and count, the same trials twice
+        for name in ("hermite_orders", "ensemble_sizes", "lambda_grid", "estimators"):
+            values = getattr(self, name)
+            if not any(p.startswith(name) for p in problems) and len(set(values)) < len(values):
+                problems.append(f"{name}: repeated values in {values!r}")
         if self.truth not in ("conditional", "distribution"):
             problems.append(f"truth: expected 'conditional' or 'distribution', got {self.truth!r}")
         if self.m_members is not None and (
@@ -310,23 +318,35 @@ def _block_batch_size(dims, m, n):
     return max(1, min(512, int(2.0e6 // max(1, dims * m * n))))
 
 
-def _run_block(cfg, order, n, lo, hi):
-    """Error moments and skip reasons for trials [lo, hi) of one (order, N)
-    cell: trials stacked in sub-batches, one `estimate_batch` call per
-    estimator and sub-batch over the whole lambda grid. Per estimator the
-    moments are `[sums, trials, evals, cached]`, with `sums` (2, L, d): the
-    signed errors and their squares summed over trials, per lambda."""
-    m = cfg.m_members or n
+def _sub_batches(cfg, n, lo, hi):
+    """Trials [lo, hi) at size `n`, drawn once for every order, in
+    sub-batches of bounded size: per sub-batch, the x-member Ensemble and,
+    for the controls and the pooled controls, `(Ensemble, shared memo)`.
+    The memo holds the controls' SVDs and anomalies, which no objective
+    changes."""
     factors = _draw_factors(cfg)
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
+    step = _block_batch_size(cfg.dims, cfg.m_members or n, n)
+    subs = []
+    for blo in range(lo, hi, step):
+        x_ens, u_ens, vw_ens = _ensembles(
+            factors, *_draw_trials(cfg, factors, n, blo, min(blo + step, hi), need_vw))
+        subs.append((x_ens, {False: (u_ens, {}), True: (vw_ens, {})}))
+    return subs
+
+
+def _run_block(cfg, order, subs):
+    """Error moments and skip reasons of one order on a block's sub-batches
+    (`_sub_batches`): one `estimate_batch` call per estimator and sub-batch
+    over the whole lambda grid. Per estimator the moments are `[sums,
+    trials, evals, cached]`, with `sums` (2, L, d): the signed errors and
+    their squares summed over trials, per lambda."""
     objective = hermite_objective(order, cfg.dims)
     moments, skips = {}, {}
-    step = _block_batch_size(cfg.dims, m, n)
-    for blo in range(lo, hi, step):
-        x, u, vw = _draw_trials(cfg, factors, n, blo, min(blo + step, hi), need_vw)
-        x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
-        batches = {False: Batch(objective, x_ens, u_ens), True: Batch(objective, x_ens, vw_ens)}
-        truth = trial_truth(cfg, order, x)  # (T, d)
+    for x_ens, controls in subs:
+        batches = {vw: Batch(objective, x_ens, ens, shared=shared)
+                   for vw, (ens, shared) in controls.items()}
+        truth = trial_truth(cfg, order, x_ens.members)  # (T, d)
         for est in cfg.estimators:
             if est in skips:
                 continue
@@ -343,8 +363,17 @@ def _run_block(cfg, order, n, lo, hi):
             errors = grads - truth  # (L, T, d)
             acc[0][0] += errors.sum(axis=1)
             acc[0][1] += (errors**2).sum(axis=1)
-            acc[1] += len(x)
+            acc[1] += len(truth)
     return moments, skips
+
+
+def _run_group(cfg, n, lo, hi):
+    """`_run_block` of each configured order on trials [lo, hi) at size
+    `n`, yielded as each order finishes; the orders share one draw and one
+    set of control factorisations."""
+    subs = _sub_batches(cfg, n, lo, hi)
+    for order in cfg.hermite_orders:
+        yield _run_block(cfg, order, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +389,14 @@ class BenchResult:
 
 
 def _bench_tasks(cfg, blocks_per_cell):
+    """The (N, lo, hi) groups of a run, size-major; each covers every order."""
     block = max(1, math.ceil(cfg.n_trials / blocks_per_cell))
-    tasks = []
-    for order in cfg.hermite_orders:
-        for n in cfg.ensemble_sizes:
-            for lo in range(0, cfg.n_trials, block):
-                tasks.append((order, n, lo, min(lo + block, cfg.n_trials)))
-    return tasks
+    return [(n, lo, min(lo + block, cfg.n_trials))
+            for n in cfg.ensemble_sizes for lo in range(0, cfg.n_trials, block)]
 
 
 def _run_task(args):
-    return _run_block(*args)
+    return list(_run_group(*args))
 
 
 def _stats_of(cfg, order, n, moments):
@@ -385,20 +411,27 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=No
     """Run the full benchmark grid. `workers` is a process count, or an
     open `Executor` to run the blocks on, which is left open. Each (order,
     N) cell's trials split evenly into `blocks_per_cell` blocks (the CLI
-    passes enough for at most `BLOCK_TRIALS` trials each). Each block
-    returns its error moments as arrays, and they are summed in task
-    order, not completion order, so results are bit-identical for any
-    `workers`; the per-key `ErrorStats` are built once, at the end. A
-    different split sums the same trials in another order, which can move
-    the last bits once a block spans several sub-batches.
-    `progress(i, n_blocks)` is called as each block is summed."""
+    passes enough for at most `BLOCK_TRIALS` trials each). The blocks of
+    all orders at one N and trial range are one task: every order's trial
+    t reads the same child stream, so the task draws the ensembles once
+    and factors the controls once, and each order runs its estimators on
+    them. Each block returns its error moments as arrays, and each cell
+    sums them in trial order, not completion order, so results are
+    bit-identical for any `workers`; the per-key `ErrorStats` are built
+    once, at the end. A different split sums the same trials in another
+    order, which can move the last bits once a block spans several
+    sub-batches. `progress(i, n_blocks)` is called as each (order, N,
+    block) is summed, size-major: for each N and trial range, the orders
+    in turn."""
     import time
 
     cfg.validate()
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
-    args = [(cfg, order, n, lo, hi) for order, n, lo, hi in tasks]
-    cells, skips, blocks = {}, {}, []
+    n_blocks = len(tasks) * len(cfg.hermite_orders)
+    args = [(cfg, n, lo, hi) for n, lo, hi in tasks]
+    cells = {(order, n): {} for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
+    skips, blocks, done = {}, [], 0
     with contextlib.ExitStack() as stack:
         if isinstance(workers, Executor):
             parts = workers.map(_run_task, args)
@@ -406,24 +439,26 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=No
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             parts = pool.map(_run_task, args)
         else:
-            parts = map(_run_task, args)
-        for i, ((order, n, lo, _hi), (moments, part_skips)) in enumerate(zip(tasks, parts)):
-            cell = cells.setdefault((order, n), {})
-            for est, (sums, trials, evals, cached) in moments.items():
-                cur = cell.get(est)
-                if cur is None:
-                    cell[est] = [sums.copy(), trials, evals, cached]
-                elif (evals, cached) != (cur[2], cur[3]):
-                    raise ValueError("merging stats with different evaluation contracts")
-                else:
-                    cur[0] += sums
-                    cur[1] += trials
-            for est, reason in part_skips.items():
-                skips[(order, n, est)] = reason
-            if keep_blocks:
-                blocks.append(((order, n, lo), _stats_of(cfg, order, n, moments)))
-            if progress:
-                progress(i + 1, len(tasks))
+            parts = (_run_group(*a) for a in args)
+        for (n, lo, _hi), group in zip(tasks, parts):
+            for order, (moments, part_skips) in zip(cfg.hermite_orders, group):
+                cell = cells[(order, n)]
+                for est, (sums, trials, evals, cached) in moments.items():
+                    cur = cell.get(est)
+                    if cur is None:
+                        cell[est] = [sums.copy(), trials, evals, cached]
+                    elif (evals, cached) != (cur[2], cur[3]):
+                        raise ValueError("merging stats with different evaluation contracts")
+                    else:
+                        cur[0] += sums
+                        cur[1] += trials
+                for est, reason in part_skips.items():
+                    skips[(order, n, est)] = reason
+                if keep_blocks:
+                    blocks.append(((order, n, lo), _stats_of(cfg, order, n, moments)))
+                done += 1
+                if progress:
+                    progress(done, n_blocks)
 
     stats = {}
     for (order, n), moments in cells.items():
@@ -532,6 +567,8 @@ def block_arrays(result, estimator, order, n, lam):
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):
     """Percentile bootstrap band for the aggregated metric, resampling
     blocks with replacement."""
+    if metric not in ("rmse", "bias"):
+        raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
     rng = rng_from(child_seed(seed, 0))
     c = len(ns)
     idx = rng.integers(0, c, size=(n_boot, c))

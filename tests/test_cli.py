@@ -121,6 +121,16 @@ class TestBench:
         assert rc == 2
         assert "n_trials" in err
 
+    @pytest.mark.parametrize("name,values", [("hermite_orders", [0, 0]),
+                                             ("ensemble_sizes", [6, 6]),
+                                             ("estimators", ["stosag", "stosag"])])
+    def test_repeated_entries_exit_2(self, tmp_path, capsys, name, values):
+        cfg = write_cfg(tmp_path / "bad.json", dict(BENCH_CFG, **{name: values}))
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 2
+        assert f"{name}: repeated values" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.json", dict(BENCH_CFG, bogus=1))
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
@@ -223,10 +233,10 @@ class TestBench:
         real_block, real_bench = harness_mod._run_block, cli_mod.run_bench
         pools, calls = [], []
 
-        def block(cfg, order, n, lo, hi):
+        def block(cfg, order, subs):
             if order == 0:
                 fail_block()
-            return real_block(cfg, order, n, lo, hi)
+            return real_block(cfg, order, subs)
 
         class Pool(harness_mod.ProcessPoolExecutor):
             def __init__(self, *a, **kw):

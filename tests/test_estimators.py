@@ -14,8 +14,9 @@ from ensgrad.estimators import (
     CountingObjective,
     EstimatorSpec,
     estimate,
+    estimate_batch,
 )
-from ensgrad.linalg import PinvConfig, sample_cross_cov, tikhonov_pinv
+from ensgrad.linalg import PinvConfig, sample_cross_cov, svd, tikhonov_pinv
 from ensgrad.objectives import (
     ObjectiveSpec,
     bilinear_grad,
@@ -453,6 +454,53 @@ class TestAccounting:
         x, u = draw_xu(30, n=6, m=4)
         estimate(obj, x, u, spec_for("avg_grad"))
         assert obj.grad_evals == 24 and obj.evals == 0
+
+
+class TestSharedMemo:
+    """Batches of two objectives on the same controls share one memo of the
+    controls' factorisations, with the bits of separate Batches."""
+
+    GRID = (0.0, 1e-2)
+    OBJECTIVES = (hermite_objective(2, dims=D), hermite_objective(5, dims=D))
+
+    @staticmethod
+    def stacked(seed, m, n, k=3):
+        draws = [draw_xu(seed + t, n=n, m=m) for t in range(k)]
+        X = Ensemble(np.stack([x.members for x, _ in draws]), X_SPEC.mean)
+        U = Ensemble(np.stack([u.members for _, u in draws]), U_SPEC.mean, recentred=True)
+        return X, U
+
+    @pytest.mark.parametrize("subsampled", [False, True], ids=["paired", "subsampled"])
+    def test_shared_memo_gives_the_bits_of_separate_batches(self, subsampled):
+        X, U = self.stacked(41, 6, 12 if subsampled else 6)
+        shared, keys = {}, []
+        for obj in self.OBJECTIVES:
+            batch = Batch(obj, X, U, shared=shared)
+            for kind in ESTIMATOR_IDS:
+                if (kind in SUBSAMPLED_IDS) != subsampled:
+                    continue
+                spec = EstimatorSpec(kind=kind)
+                got = estimate_batch(batch, spec, self.GRID)
+                alone = estimate_batch(Batch(obj, X, U), spec, self.GRID)
+                assert np.array_equal(got[0], alone[0]), kind
+                assert got[1:] == alone[1:], kind
+            keys.append(set(shared))
+        # the second objective found every factorisation in the memo
+        assert keys[0] == keys[1] and keys[0]
+
+    def test_decorr_svd_stays_out_of_the_shared_memo(self):
+        # decorr's controls depend on the objective, so their SVD must not
+        # be found by a Batch of another objective
+        X, U = self.stacked(42, 6, 6)
+        shared = {}
+        for obj in self.OBJECTIVES:
+            estimate_batch(Batch(obj, X, U, shared=shared), EstimatorSpec(kind="decorr"),
+                           self.GRID)
+        assert shared == {}
+        estimate_batch(Batch(self.OBJECTIVES[0], X, U, shared=shared),
+                       EstimatorSpec(kind="paired"), self.GRID)
+        _, s, _ = shared[("svd", "U")]
+        assert np.array_equal(s, svd(U.anomalies)[1])
 
 
 class TestPreconditioned:

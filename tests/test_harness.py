@@ -1,5 +1,6 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from ensgrad.harness import (
     ConfigError,
     DescentConfig,
     ErrorStats,
+    _draw_trials,
     aggregate,
     block_arrays,
     bootstrap_band,
@@ -65,6 +67,14 @@ class TestBenchConfig:
             BenchConfig(truth="exact").validate()
         with pytest.raises(ConfigError, match="u_mean"):
             BenchConfig(u_mean=(0.0, 0.0)).validate()
+
+    @pytest.mark.parametrize("name,values", [("hermite_orders", (2, 2)),
+                                             ("ensemble_sizes", (5, 5)),
+                                             ("estimators", ("stosag", "stosag"))])
+    def test_repeated_entries_rejected(self, name, values):
+        # a repeat would run the same trials twice and count them twice
+        with pytest.raises(ConfigError, match=f"{name}: repeated values"):
+            BenchConfig(n_trials=4, **{name: values}).validate()
 
     def test_bad_covariance_reported(self):
         with pytest.raises(ConfigError, match="u_cov"):
@@ -260,6 +270,71 @@ class TestRunBench:
         assert np.allclose(sumsqs.sum(axis=0), total.sum_sq)
 
 
+SHARED = BenchConfig(base_seed=515, n_trials=24, dims=5, hermite_orders=(0, 2, 3, 5),
+                     ensemble_sizes=(6, 200), lambda_grid=(0.0, 1e-2))
+
+
+@pytest.fixture(scope="module")
+def one_order_runs():
+    # 12-trial blocks: one sub-batch at N=6, two (10 + 2 trials) at N=200
+    return {order: run_bench(replace(SHARED, hermite_orders=(order,)), blocks_per_cell=2,
+                             keep_blocks=True)
+            for order in SHARED.hermite_orders}
+
+
+class TestOrdersShareDraws:
+    """The orders of one run share each block's draws and control
+    factorisations, and get the bits of one run per order."""
+
+    @staticmethod
+    def assert_same_as_one_order_runs(res, runs):
+        assert set(res.stats) == {key for one in runs.values() for key in one.stats}
+        for order, one in runs.items():
+            assert {k: v for k, v in res.skips.items() if k[0] == order} == one.skips
+            for key, st in one.stats.items():
+                got = res.stats[key]
+                assert np.array_equal(got.sum_err, st.sum_err), key
+                assert np.array_equal(got.sum_sq, st.sum_sq), key
+                assert (got.n, got.evals, got.cached) == (st.n, st.evals, st.cached)
+                for a, b in zip(block_arrays(res, *key), block_arrays(one, *key)):
+                    assert np.array_equal(a, b), key
+
+    @pytest.mark.parametrize("workers", [1, 2, "executor"])
+    def test_same_bits_as_one_run_per_order(self, one_order_runs, workers):
+        with contextlib.ExitStack() as stack:
+            if workers == "executor":
+                workers = stack.enter_context(ProcessPoolExecutor(max_workers=2))
+            res = run_bench(SHARED, workers=workers, blocks_per_cell=2, keep_blocks=True)
+        self.assert_same_as_one_order_runs(res, one_order_runs)
+
+    def test_draws_and_factorisations_once_per_sub_batch(self, monkeypatch):
+        import ensgrad.estimators as estimators_mod
+        import ensgrad.harness as harness_mod
+
+        counts = {"draws": 0, "svds": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness_mod, "_draw_trials", counted("draws", _draw_trials))
+        monkeypatch.setattr(estimators_mod, "svd", counted("svds", estimators_mod.svd))
+        cfg = replace(SHARED, hermite_orders=(2, 3, 5))
+        calls = []
+        run_bench(cfg, blocks_per_cell=2, progress=lambda i, n: calls.append((i, n)))
+        # two blocks per size: one sub-batch each at N=6, two at N=200
+        sub_batches = 2 * 1 + 2 * 2
+        assert counts["draws"] == sub_batches
+        # per sub-batch, the SVDs of U, diff, cov_mean and cov_pool serve
+        # every order; decorr's controls depend on the order, so it makes
+        # one SVD per order
+        assert counts["svds"] == sub_batches * (4 + len(cfg.hermite_orders))
+        total = len(cfg.hermite_orders) * len(cfg.ensemble_sizes) * 2
+        assert calls == [(i, total) for i in range(1, total + 1)]
+
+
 class TestAggregation:
     def _rows(self):
         res = run_bench(SMALL, blocks_per_cell=4)
@@ -312,6 +387,11 @@ class TestBootstrap:
                 if r.estimator == "stosag" and r.lam == 0.0]
         assert lo <= rows[0].rmse <= hi
         assert lo < hi
+
+    def test_unknown_metric_rejected(self):
+        arrays = (np.zeros((2, 3)), np.ones((2, 3)), np.array([4, 4]))
+        with pytest.raises(ValueError, match="metric"):
+            bootstrap_band(*arrays, metric="mse")
 
     def test_band_deterministic_in_seed(self):
         res = run_bench(SMALL, blocks_per_cell=8, keep_blocks=True)
