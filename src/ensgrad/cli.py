@@ -206,15 +206,9 @@ def _cmd_rastrigin(args):
     # contour grids over the plotted window, one file per surface
     grid = np.linspace(-3.0, 3.0, 121)
     for label, fn in (("exact", rastrigin_eval), ("blurred", rastrigin_blurred)):
-        rows = [(repr(float(u1)), repr(float(u2)), repr(float(fn(np.array([u1, u2])))))
-                for u1 in grid for u2 in grid]
         name = f"grid_{label}.csv"
-        import csv
-
-        with open(os.path.join(args.out, name), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(("u1", "u2", "loss"))
-            w.writerows(rows)
+        _write_rows_csv(os.path.join(args.out, name), ("u1", "u2", "loss"),
+                        ((u1, u2, fn(np.array([u1, u2]))) for u1 in grid for u2 in grid))
         outputs.append(name)
 
     config = {"step": cfg.step, "n_steps": cfg.n_steps, "starts": [list(s) for s in cfg.starts]}

@@ -13,13 +13,13 @@ controls' SVDs and subsample anomalies. Per order it makes one
 `estimate_batch` call per estimator and sub-batch, over the whole lambda
 grid; the estimators share the sub-batch's evaluations, decorrelated
 controls and SVDs through one `Batch`. A block hands back, per estimator,
-one (2, L, d) array of summed signed errors and squared errors;
-`run_bench` adds each cell's blocks in trial order, on its own process
-pool or on an `Executor` the caller keeps open across calls, and builds
-the per-key `ErrorStats` once. The CLI sizes its blocks in trials, at most
-`BLOCK_TRIALS` each, so a short run is one block per cell; it runs one
-order per `run_bench` call. `aggregate` turns the stats into RMSE/bias
-rows in one array pass.
+one (2, L, d) array of summed signed errors and squared errors; `run_bench`
+keeps every block, stacked per cell in trial order for the bootstrap bands
+(`block_arrays`), and builds the per-key `ErrorStats` once from each
+stack's sum. The CLI sizes its blocks in trials, at most `BLOCK_TRIALS`
+each, so a short run is one block per cell; it runs one order per
+`run_bench` call. `aggregate` turns the stats into RMSE/bias rows in one
+array pass.
 `run_trial` is the plain composition of per-call `estimate()`s, one trial
 and one lambda at a time, which the tests pin the blocks against. The truth
 is in closed form (`objectives.hermite_expected_grad`).
@@ -70,6 +70,11 @@ class ConfigError(ValueError):
     """Invalid benchmark configuration; the CLI maps this to exit code 2."""
 
 
+def _is_int(v):
+    """An int that is not a bool (JSON's true/false load as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark setup. Defaults reproduce the desk-scale study: 5 dims,
@@ -104,18 +109,18 @@ class BenchConfig:
 
     def validate(self):
         problems = []
-        if not isinstance(self.base_seed, int):
+        if not _is_int(self.base_seed):
             problems.append(f"base_seed: expected int, got {self.base_seed!r}")
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
+        if not _is_int(self.n_trials) or self.n_trials < 1:
             problems.append(f"n_trials: expected positive int, got {self.n_trials!r}")
-        if not isinstance(self.dims, int) or self.dims < 1:
+        if not _is_int(self.dims) or self.dims < 1:
             problems.append(f"dims: expected positive int, got {self.dims!r}")
         if not self.hermite_orders or any(
-            not isinstance(k, int) or not 0 <= k <= 6 for k in self.hermite_orders
+            not _is_int(k) or not 0 <= k <= 6 for k in self.hermite_orders
         ):
             problems.append(f"hermite_orders: expected ints in [0, 6], got {self.hermite_orders!r}")
         if not self.ensemble_sizes or any(
-            not isinstance(n, int) or n < 2 for n in self.ensemble_sizes
+            not _is_int(n) or n < 2 for n in self.ensemble_sizes
         ):
             problems.append(f"ensemble_sizes: expected ints >= 2, got {self.ensemble_sizes!r}")
         if not self.lambda_grid or any(
@@ -133,7 +138,7 @@ class BenchConfig:
         if self.truth not in ("conditional", "distribution"):
             problems.append(f"truth: expected 'conditional' or 'distribution', got {self.truth!r}")
         if self.m_members is not None and (
-            not isinstance(self.m_members, int) or self.m_members < 2
+            not _is_int(self.m_members) or self.m_members < 2
         ):
             problems.append(f"m_members: expected int >= 2 or null, got {self.m_members!r}")
         for name, mean in (("u", self.u_mean), ("x", self.x_mean)):
@@ -384,7 +389,8 @@ def _run_group(cfg, n, lo, hi):
 class BenchResult:
     stats: dict  # (est, order, N, lam) -> ErrorStats
     skips: dict  # (order, N, est) -> reason
-    blocks: list = field(default_factory=list)  # [((order, N, lo), stats), ...]
+    blocks: dict = field(default_factory=dict)  # (est, order, N) -> (sums, trials)
+    lambda_grid: tuple = ()  # the lambdas indexing the blocks' sums
     elapsed: float = 0.0
 
 
@@ -399,39 +405,38 @@ def _run_task(args):
     return list(_run_group(*args))
 
 
-def _stats_of(cfg, order, n, moments):
-    """The per-key ErrorStats of one cell's moments; their arrays are views
-    into the moments."""
-    return {(est, order, n, lam): ErrorStats(sums[0, l], sums[1, l], trials, evals, cached)
-            for est, (sums, trials, evals, cached) in moments.items()
-            for l, lam in enumerate(cfg.lambda_grid)}
-
-
-def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=None):
+def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     """Run the full benchmark grid. `workers` is a process count, or an
     open `Executor` to run the blocks on, which is left open. Each (order,
-    N) cell's trials split evenly into `blocks_per_cell` blocks (the CLI
-    passes enough for at most `BLOCK_TRIALS` trials each). The blocks of
-    all orders at one N and trial range are one task: every order's trial
-    t reads the same child stream, so the task draws the ensembles once
-    and factors the controls once, and each order runs its estimators on
-    them. Each block returns its error moments as arrays, and each cell
-    sums them in trial order, not completion order, so results are
-    bit-identical for any `workers`; the per-key `ErrorStats` are built
-    once, at the end. A different split sums the same trials in another
-    order, which can move the last bits once a block spans several
-    sub-batches. `progress(i, n_blocks)` is called as each (order, N,
-    block) is summed, size-major: for each N and trial range, the orders
-    in turn."""
+    N) cell's trials split evenly into `blocks_per_cell` blocks. The blocks
+    of all orders at one N and trial range are one task: every order's
+    trial t reads the same child stream, so the task draws the ensembles
+    once and factors the controls once, and each order runs its estimators
+    on them. `blocks[(est, order, N)]` keeps each block's moments in trial
+    order: a (B, 2, L, d) stack, 80 bytes per block and key at d = 5 (17 MB
+    on the full default grid), and (B,) trial counts, 0 where a block
+    skipped est. The stats are views into the stacks' sums, the same for
+    any `workers`; another split can move the last bits once a block spans
+    several sub-batches. `progress(i, n_blocks)` is called as each (order,
+    N, block) comes back, size-major: for each N and trial range, the
+    orders in turn."""
     import time
 
     cfg.validate()
+    if not _is_int(blocks_per_cell) or blocks_per_cell < 1:
+        raise ConfigError(f"blocks_per_cell: expected positive int, got {blocks_per_cell!r}")
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
     n_blocks = len(tasks) * len(cfg.hermite_orders)
+    per_cell = len(tasks) // len(cfg.ensemble_sizes)
     args = [(cfg, n, lo, hi) for n, lo, hi in tasks]
-    cells = {(order, n): {} for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
-    skips, blocks, done = {}, [], 0
+    row = {est: e for e, est in enumerate(cfg.estimators)}
+    # per cell, every estimator's block sums and trial counts, and the (evals,
+    # cached) of those that ran; -0.0 is exact for +: skipped rows add nothing
+    cells = {(order, n): (np.full((len(row), per_cell, 2, len(cfg.lambda_grid), cfg.dims), -0.0),
+                          np.zeros((len(row), per_cell), dtype=np.int64), {})
+             for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
+    skips, done = {}, 0
     with contextlib.ExitStack() as stack:
         if isinstance(workers, Executor):
             parts = workers.map(_run_task, args)
@@ -440,31 +445,32 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, keep_blocks=False, progress=No
             parts = pool.map(_run_task, args)
         else:
             parts = (_run_group(*a) for a in args)
-        for (n, lo, _hi), group in zip(tasks, parts):
+        for i, ((n, *_), group) in enumerate(zip(tasks, parts)):
             for order, (moments, part_skips) in zip(cfg.hermite_orders, group):
-                cell = cells[(order, n)]
-                for est, (sums, trials, evals, cached) in moments.items():
-                    cur = cell.get(est)
-                    if cur is None:
-                        cell[est] = [sums.copy(), trials, evals, cached]
-                    elif (evals, cached) != (cur[2], cur[3]):
+                sums, trials, contracts = cells[(order, n)]
+                for est, (block_sums, block_trials, evals, cached) in moments.items():
+                    if contracts.setdefault(est, (evals, cached)) != (evals, cached):
                         raise ValueError("merging stats with different evaluation contracts")
-                    else:
-                        cur[0] += sums
-                        cur[1] += trials
+                    sums[row[est], i % per_cell] = block_sums
+                    trials[row[est], i % per_cell] = block_trials
                 for est, reason in part_skips.items():
                     skips[(order, n, est)] = reason
-                if keep_blocks:
-                    blocks.append(((order, n, lo), _stats_of(cfg, order, n, moments)))
                 done += 1
                 if progress:
                     progress(done, n_blocks)
 
-    stats = {}
-    for (order, n), moments in cells.items():
-        stats.update(_stats_of(cfg, order, n, moments))
+    stats, blocks = {}, {}
+    for (order, n), (sums, trials, contracts) in cells.items():
+        # from -0.0, the sums are the blocks' sequential adds bit for bit
+        totals, counts = sums.sum(axis=1, initial=-0.0), trials.sum(axis=1).tolist()
+        for est, (evals, cached) in contracts.items():
+            e = row[est]
+            blocks[(est, order, n)] = sums[e], trials[e]
+            for l, lam in enumerate(cfg.lambda_grid):
+                stats[(est, order, n, lam)] = ErrorStats(totals[e, 0, l], totals[e, 1, l],
+                                                         counts[e], evals, cached)
     return BenchResult(stats=stats, skips=skips, blocks=blocks,
-                       elapsed=time.perf_counter() - t0)
+                       lambda_grid=tuple(cfg.lambda_grid), elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +507,13 @@ def aggregate(stats):
 
 def select_best_lambda(rows, metric="rmse"):
     """Per (estimator, order, N), the row minimising the metric; ties go to
-    the smallest lambda."""
+    the smallest lambda, and rows with a non-finite metric are ignored."""
     if metric not in ("rmse", "bias"):
         raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
     best = {}
     for row in sorted(rows, key=lambda r: r.lam):
-        key = (row.estimator, row.order, row.n)
-        cur = best.get(key)
-        if cur is None or getattr(row, metric) < getattr(cur, metric):
+        key, value = (row.estimator, row.order, row.n), getattr(row, metric)
+        if math.isfinite(value) and (key not in best or value < getattr(best[key], metric)):
             best[key] = row
     out = list(best.values())
     out.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
@@ -549,19 +554,13 @@ def read_results_csv(path):
 
 
 def block_arrays(result, estimator, order, n, lam):
-    """Stack per-block moments for one table cell: (sums, sumsqs, ns)."""
-    sums, sumsqs, ns = [], [], []
-    for (b_order, b_n, _lo), part in result.blocks:
-        if b_order != order or b_n != n:
-            continue
-        st = part.get((estimator, order, n, lam))
-        if st is not None and st.n > 0:
-            sums.append(st.sum_err)
-            sumsqs.append(st.sum_sq)
-            ns.append(st.n)
-    if not ns:
+    """One table cell's per-block moments, in trial order: (sums, sumsqs,
+    ns) of shapes (B, d), (B, d) and (B,), for the blocks that ran it."""
+    if (estimator, order, n, lam) not in result.stats:
         raise KeyError(f"no blocks for {(estimator, order, n, lam)}")
-    return np.array(sums), np.array(sumsqs), np.array(ns)
+    sums, ns = result.blocks[(estimator, order, n)]
+    ran, l = ns > 0, result.lambda_grid.index(lam)
+    return sums[ran, 0, l], sums[ran, 1, l], ns[ran]
 
 
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):

@@ -50,7 +50,7 @@ def report(capsys, num, ok, detail):
 @pytest.fixture(scope="module")
 def full_bench():
     cfg = BenchConfig()
-    res = run_bench(cfg, workers=1, keep_blocks=True)
+    res = run_bench(cfg, workers=1)
     rows = aggregate(res.stats)
 
     def keyed(metric):

@@ -121,6 +121,15 @@ class TestBench:
         assert rc == 2
         assert "n_trials" in err
 
+    @pytest.mark.parametrize("name,value", [("base_seed", False), ("n_trials", True),
+                                            ("dims", True), ("hermite_orders", [True])])
+    def test_bool_for_int_exits_2(self, tmp_path, capsys, name, value):
+        cfg = write_cfg(tmp_path / "bad.json", dict(BENCH_CFG, **{name: value}))
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 2
+        assert f"{name}: expected" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name,values", [("hermite_orders", [0, 0]),
                                              ("ensemble_sizes", [6, 6]),
                                              ("estimators", ["stosag", "stosag"])])

@@ -14,6 +14,7 @@ from ensgrad.harness import (
     DescentConfig,
     ErrorStats,
     _draw_trials,
+    _run_group,
     aggregate,
     block_arrays,
     bootstrap_band,
@@ -75,6 +76,14 @@ class TestBenchConfig:
         # a repeat would run the same trials twice and count them twice
         with pytest.raises(ConfigError, match=f"{name}: repeated values"):
             BenchConfig(n_trials=4, **{name: values}).validate()
+
+    @pytest.mark.parametrize("name,value", [("base_seed", False), ("n_trials", True),
+                                            ("dims", True), ("hermite_orders", [2, True]),
+                                            ("ensemble_sizes", [True]), ("m_members", True)])
+    def test_bools_are_not_ints(self, name, value):
+        # JSON's true/false load as bools, which Python counts as ints
+        with pytest.raises(ConfigError, match=f"{name}: expected"):
+            BenchConfig.from_dict(dict(SMALL.to_dict(), **{name: value}))
 
     def test_bad_covariance_reported(self):
         with pytest.raises(ConfigError, match="u_cov"):
@@ -261,13 +270,62 @@ class TestRunBench:
         for st in res.stats.values():
             assert st.n == SMALL.n_trials
 
-    def test_keep_blocks_partitions_trials(self):
-        res = run_bench(SMALL, blocks_per_cell=4, keep_blocks=True)
+    def test_blocks_partition_trials(self):
+        res = run_bench(SMALL, blocks_per_cell=4)
         sums, sumsqs, ns = block_arrays(res, "stosag", 3, 6, 0.0)
         assert ns.sum() == SMALL.n_trials
         total = res.stats[("stosag", 3, 6, 0.0)]
         assert np.allclose(sums.sum(axis=0), total.sum_err)
         assert np.allclose(sumsqs.sum(axis=0), total.sum_sq)
+
+    def test_blocks_stacked_in_trial_order(self):
+        res = run_bench(SMALL, blocks_per_cell=4)
+        sums, trials = res.blocks[("stosag", 3, 6)]
+        assert sums.shape == (4, 2, len(SMALL.lambda_grid), SMALL.dims)
+        for b, lo in enumerate(range(0, SMALL.n_trials, 10)):
+            (moments, _), = _run_group(SMALL, 6, lo, lo + 10)
+            assert np.array_equal(sums[b], moments["stosag"][0])
+            assert trials[b] == moments["stosag"][1] == 10
+        got = block_arrays(res, "stosag", 3, 6, 1e-2)
+        for a, b in zip(got, (sums[:, 0, 1], sums[:, 1, 1], trials)):
+            assert np.array_equal(a, b)
+
+    def test_block_that_skipped_an_estimator(self, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        full = run_bench(SMALL, blocks_per_cell=4)
+        real, calls = harness_mod._run_block, []
+
+        def second_block_skips_stosag(cfg, order, subs):
+            moments, skips = real(cfg, order, subs)
+            calls.append(order)
+            if len(calls) == 2:
+                del moments["stosag"]
+                skips["stosag"] = "degenerate"
+            return moments, skips
+
+        monkeypatch.setattr(harness_mod, "_run_block", second_block_skips_stosag)
+        res = run_bench(SMALL, blocks_per_cell=4)
+        assert list(res.blocks[("stosag", 3, 6)][1]) == [10, 0, 10, 10]
+        sums, sumsqs, ns = block_arrays(res, "stosag", 3, 6, 0.0)
+        ref = block_arrays(full, "stosag", 3, 6, 0.0)
+        for got, want in zip((sums, sumsqs, ns), ref):
+            assert np.array_equal(got, want[[0, 2, 3]])
+        st = res.stats[("stosag", 3, 6, 0.0)]
+        assert st.n == 30
+        assert np.array_equal(st.sum_err, ref[0][0] + ref[0][2] + ref[0][3])
+        assert np.array_equal(st.sum_sq, ref[1][0] + ref[1][2] + ref[1][3])
+
+    def test_block_arrays_missing_key(self):
+        res = run_bench(SMALL, blocks_per_cell=2)
+        for key in (("stosag", 3, 6, 0.5), ("stosag", 2, 6, 0.0), ("nope", 3, 6, 0.0)):
+            with pytest.raises(KeyError):
+                block_arrays(res, *key)
+
+    @pytest.mark.parametrize("blocks", [0, -3, 2.5, True, None])
+    def test_bad_blocks_per_cell_rejected(self, blocks):
+        with pytest.raises(ConfigError, match="blocks_per_cell"):
+            run_bench(SMALL, blocks_per_cell=blocks)
 
 
 SHARED = BenchConfig(base_seed=515, n_trials=24, dims=5, hermite_orders=(0, 2, 3, 5),
@@ -277,8 +335,7 @@ SHARED = BenchConfig(base_seed=515, n_trials=24, dims=5, hermite_orders=(0, 2, 3
 @pytest.fixture(scope="module")
 def one_order_runs():
     # 12-trial blocks: one sub-batch at N=6, two (10 + 2 trials) at N=200
-    return {order: run_bench(replace(SHARED, hermite_orders=(order,)), blocks_per_cell=2,
-                             keep_blocks=True)
+    return {order: run_bench(replace(SHARED, hermite_orders=(order,)), blocks_per_cell=2)
             for order in SHARED.hermite_orders}
 
 
@@ -304,7 +361,7 @@ class TestOrdersShareDraws:
         with contextlib.ExitStack() as stack:
             if workers == "executor":
                 workers = stack.enter_context(ProcessPoolExecutor(max_workers=2))
-            res = run_bench(SHARED, workers=workers, blocks_per_cell=2, keep_blocks=True)
+            res = run_bench(SHARED, workers=workers, blocks_per_cell=2)
         self.assert_same_as_one_order_runs(res, one_order_runs)
 
     def test_draws_and_factorisations_once_per_sub_batch(self, monkeypatch):
@@ -359,6 +416,18 @@ class TestAggregation:
         with pytest.raises(ValueError):
             select_best_lambda(rows, metric="mse")
 
+    def test_select_best_lambda_ignores_non_finite_metric(self):
+        from ensgrad.harness import ResultRow
+
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            ResultRow("stosag", 3, 6, 0.0, nan, 0.5, 6, 10),
+            ResultRow("stosag", 3, 6, 0.1, 1.0, inf, 6, 10),
+        ]
+        assert [r.lam for r in select_best_lambda(rows, "rmse")] == [0.1]
+        assert [r.lam for r in select_best_lambda(rows, "bias")] == [0.0]
+        assert select_best_lambda(rows[:1], "rmse") == []
+
     def test_metric_flag_changes_selection_on_real_data(self):
         # heavier damping trades bias for variance, so the two metrics pick
         # different lambdas somewhere on the grid
@@ -380,7 +449,7 @@ class TestAggregation:
 
 class TestBootstrap:
     def test_band_brackets_point_estimate(self):
-        res = run_bench(SMALL, blocks_per_cell=8, keep_blocks=True)
+        res = run_bench(SMALL, blocks_per_cell=8)
         sums, sumsqs, ns = block_arrays(res, "stosag", 3, 6, 0.0)
         lo, hi = bootstrap_band(sums, sumsqs, ns, metric="rmse", seed=3)
         rows = [r for r in aggregate(res.stats)
@@ -394,7 +463,7 @@ class TestBootstrap:
             bootstrap_band(*arrays, metric="mse")
 
     def test_band_deterministic_in_seed(self):
-        res = run_bench(SMALL, blocks_per_cell=8, keep_blocks=True)
+        res = run_bench(SMALL, blocks_per_cell=8)
         arrays = block_arrays(res, "paired", 3, 6, 0.0)
         assert bootstrap_band(*arrays, seed=5) == bootstrap_band(*arrays, seed=5)
 
