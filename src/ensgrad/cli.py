@@ -62,6 +62,7 @@ from .sampling import (
     read_ensemble_csv,
     recenter,
     rng_from,
+    write_rows_csv,
 )
 
 
@@ -102,27 +103,22 @@ def _cmd_bench(args):
         print(json.dumps(BenchConfig().to_dict(), indent=2, sort_keys=True))
         return 0
     try:
+        cfg = BenchConfig()
         if args.config:
             with open(args.config) as f:
-                raw = json.load(f)
-            cfg = BenchConfig.from_dict(raw)
-        else:
-            cfg = BenchConfig()
-        overrides = {}
+                cfg = BenchConfig.from_dict(json.load(f))
         if args.trials is not None:
-            overrides["n_trials"] = args.trials
+            cfg = replace(cfg, n_trials=args.trials)
         if args.seed is not None:
-            overrides["base_seed"] = args.seed
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, base_seed=args.seed)
         cfg.validate()
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        os.makedirs(args.out, exist_ok=True)  # an --out that names a file fails here
     except (OSError, json.JSONDecodeError, ConfigError, TypeError) as e:
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     rows, notes, failures = [], [], []
     cells = [(order, n) for order in cfg.hermite_orders for n in cfg.ensemble_sizes]
     # blocks of at most BLOCK_TRIALS trials, so runs of that many trials or fewer
@@ -175,40 +171,32 @@ def _cmd_bench(args):
 # rastrigin
 
 
-def _write_rows_csv(path, header, rows):
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([x if isinstance(x, int) else repr(float(x)) for x in row])
-
-
 def _cmd_rastrigin(args):
-    if not (math.isfinite(args.step) and args.step >= 0) or args.steps < 1:
-        print("invalid descent configuration: step must be finite and >= 0, steps >= 1",
-              file=sys.stderr)
+    try:
+        if not (math.isfinite(args.step) and args.step >= 0) or args.steps < 1:
+            raise ConfigError("step must be finite and >= 0, steps >= 1")
+        os.makedirs(args.out, exist_ok=True)  # an --out that names a file fails here
+    except (OSError, ConfigError) as e:
+        print(f"invalid descent configuration: {e}", file=sys.stderr)
         return 2
     cfg = DescentConfig(step=args.step, n_steps=args.steps)
     runs = run_rastrigin_demo(cfg)
-    os.makedirs(args.out, exist_ok=True)
 
     outputs, notes = [], []
     for label in ("exact", "blurred"):
         name = f"trajectories_{label}.csv"
-        _write_rows_csv(os.path.join(args.out, name), TRAJECTORY_HEADER, trajectory_rows(runs[label]))
+        write_rows_csv(os.path.join(args.out, name), TRAJECTORY_HEADER, trajectory_rows(runs[label]))
         outputs.append(name)
         for sid, traj in enumerate(runs[label]):
             if traj.aborted:
                 notes.append(f"{label} trajectory {sid} aborted on non-finite step")
 
     # contour grids over the plotted window, one file per surface
-    grid = np.linspace(-3.0, 3.0, 121)
+    grid = np.linspace(-3.0, 3.0, 121).tolist()
     for label, fn in (("exact", rastrigin_eval), ("blurred", rastrigin_blurred)):
         name = f"grid_{label}.csv"
-        _write_rows_csv(os.path.join(args.out, name), ("u1", "u2", "loss"),
-                        ((u1, u2, fn(np.array([u1, u2]))) for u1 in grid for u2 in grid))
+        write_rows_csv(os.path.join(args.out, name), ("u1", "u2", "loss"),
+                       ((u1, u2, fn(np.array([u1, u2]))) for u1 in grid for u2 in grid))
         outputs.append(name)
 
     config = {"step": cfg.step, "n_steps": cfg.n_steps, "starts": [list(s) for s in cfg.starts]}

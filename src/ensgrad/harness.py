@@ -3,26 +3,19 @@
 Repeats, over many independent trials, the estimation of the expected
 gradient of a separable Hermite objective under Gaussian control and
 uncertainty ensembles, then aggregates signed per-dimension errors into
-RMSE/bias tables over a regularisation grid. `run_bench` draws a block's
-trials as stacks on a leading axis, in sub-batches of bounded size: each
-trial reads its own child stream, and the factors and the recentring apply
-to the whole sub-batch. Trial t reads the same stream for every Hermite
-order, so the blocks of all orders at one N and trial range are one task:
-it draws the sub-batches once, and the orders share their ensembles and the
-controls' SVDs and subsample anomalies. Per order it makes one
-`estimate_batch` call per estimator and sub-batch, over the whole lambda
-grid; the estimators share the sub-batch's evaluations, decorrelated
-controls and SVDs through one `Batch`. A block hands back, per estimator,
-one (2, L, d) array of summed signed errors and squared errors; `run_bench`
-keeps every block, stacked per cell in trial order for the bootstrap bands
-(`block_arrays`), and builds the per-key `ErrorStats` once from each
-stack's sum. The CLI sizes its blocks in trials, at most `BLOCK_TRIALS`
-each, so a short run is one block per cell; it runs one order per
-`run_bench` call. `aggregate` turns the stats into RMSE/bias rows in one
-array pass.
-`run_trial` is the plain composition of per-call `estimate()`s, one trial
-and one lambda at a time, which the tests pin the blocks against. The truth
-is in closed form (`objectives.hermite_expected_grad`).
+RMSE/bias tables over a regularisation grid. `_draw_trials` draws a range of
+trials straight into stacked `Ensemble`s, each trial from its own child
+stream. `run_bench` runs a block of trials in sub-batches of bounded size:
+trial t reads the same stream at every Hermite order, so each sub-batch is
+drawn once for all orders, and per order each estimator makes one
+`estimate_batch` call over the whole lambda grid, sharing the sub-batch's
+evaluations and the controls' SVDs through `Batch`. Every block's error
+moments are kept per cell for the bootstrap bands (`block_arrays`), and
+`aggregate` turns their sums into RMSE/bias rows in one array pass. The CLI
+sizes its blocks in trials, at most `BLOCK_TRIALS` each.
+`run_trial` is the plain composition of per-call `estimate()`s on the same
+draws, one trial and one lambda at a time, which the tests pin the blocks
+against. The truth is in closed form (`objectives.hermite_expected_grad`).
 
 Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
@@ -31,7 +24,7 @@ Rastrigin surface and the control-variate variance-reduction law check.
 import contextlib
 import math
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +46,7 @@ from .objectives import (
     rastrigin_blurred,
     rastrigin_eval,
 )
-from .sampling import Ensemble, GaussianSpec, child_seed, recenter, rng_from
+from .sampling import Ensemble, GaussianSpec, child_seed, recenter, rng_from, write_rows_csv
 
 RESULTS_HEADER = ("estimator", "order", "N", "lambda", "rmse", "bias", "evals", "trials")
 TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred")
@@ -109,8 +102,8 @@ class BenchConfig:
 
     def validate(self):
         problems = []
-        if not _is_int(self.base_seed):
-            problems.append(f"base_seed: expected int, got {self.base_seed!r}")
+        if not _is_int(self.base_seed) or self.base_seed < 0:
+            problems.append(f"base_seed: expected non-negative int, got {self.base_seed!r}")
         if not _is_int(self.n_trials) or self.n_trials < 1:
             problems.append(f"n_trials: expected positive int, got {self.n_trials!r}")
         if not _is_int(self.dims) or self.dims < 1:
@@ -127,6 +120,9 @@ class BenchConfig:
             not np.isfinite(l) or l < 0 for l in self.lambda_grid
         ):
             problems.append(f"lambda_grid: expected finite values >= 0, got {self.lambda_grid!r}")
+        for name in ("lambda_grid", "u_mean", "x_mean", "u_cov", "x_cov"):  # JSON true/false
+            if any(isinstance(v, bool) for v in np.ravel(np.array(getattr(self, name), object))):
+                problems.append(f"{name}: expected numbers, got {getattr(self, name)!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if not self.estimators or unknown:
             problems.append(f"estimators: unknown ids {unknown!r}, known: {list(ESTIMATOR_IDS)}")
@@ -176,9 +172,8 @@ class BenchConfig:
                     "u_mean", "x_mean"):
             if key in kwargs and isinstance(kwargs[key], list):
                 kwargs[key] = tuple(kwargs[key])
-        if "lambda_grid" in kwargs and kwargs["lambda_grid"] is not None:
-            kwargs["lambda_grid"] = tuple(float(l) for l in kwargs["lambda_grid"])
-        return cls(**kwargs).validate()
+        cfg = cls(**kwargs).validate()  # first, or float() reads true/false as 1.0/0.0
+        return replace(cfg, lambda_grid=tuple(float(l) for l in cfg.lambda_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -237,34 +232,27 @@ class TrialOutcome:
     errors: dict
     skips: dict
     evals: dict
-    truth: np.ndarray
 
 
-def _draw_factors(cfg):
-    """(x_spec, its factor, u_spec, its factor): what every trial's draws
-    share, built once per block rather than once per trial."""
+def _draw_trials(cfg, n, lo, hi):
+    """The Ensembles of trials [lo, hi), stacked on a leading axis: x-members
+    (T, d, M), recentred controls (T, d, N) and, if an estimator subsamples,
+    the pooled controls (T, d, 2M), else None. Each trial draws its raw normals
+    from its own child stream, in that order; the specs' factors and the
+    recentring apply to the whole stack at once."""
     x_spec, u_spec = cfg.x_spec(), cfg.u_spec()
-    return x_spec, x_spec.factor(), u_spec, u_spec.factor()
-
-
-def _draw_trials(cfg, factors, n, lo, hi, need_vw):
-    """The ensembles of trials [lo, hi), stacked on a leading axis:
-    x-members (T, d, M), recentred controls (T, d, N) and, when `need_vw`,
-    the pooled controls (T, d, 2M). Each trial draws its raw normals from
-    its own child stream, in that order; the factors and the recentring
-    apply to the whole stack at once."""
-    x_spec, lx, u_spec, lu = factors
+    need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     d, m, k = cfg.dims, cfg.m_members or n, hi - lo
     widths = (m, n, 2 * m) if need_vw else (m, n)
     z = np.empty((k, d * sum(widths)))
     for i in range(k):
         rng_from(child_seed(cfg.base_seed, lo + i)).standard_normal(out=z[i])
     parts = np.split(z, d * np.cumsum(widths[:-1]), axis=1)
-    x = x_spec.mean[:, None] + lx @ parts[0].reshape(k, d, m)
+    lx, lu = x_spec.factor(), u_spec.factor()
+    x = Ensemble(x_spec.mean[:, None] + lx @ parts[0].reshape(k, d, m), x_spec.mean)
 
     def controls(part):
-        return recenter(Ensemble(u_spec.mean[:, None] + lu @ part.reshape(k, d, -1),
-                                 u_spec.mean)).members
+        return recenter(Ensemble(u_spec.mean[:, None] + lu @ part.reshape(k, d, -1), u_spec.mean))
 
     return x, controls(parts[1]), (controls(parts[2]) if need_vw else None)
 
@@ -278,27 +266,15 @@ def trial_truth(cfg, order, x_members):
     return hermite_expected_grad(order, x_members, cfg.u_spec())
 
 
-def _ensembles(factors, x, u, vw):
-    """Ensembles of drawn x-members and recentred controls (stacked or
-    not); `vw` is the pooled control ensemble of the subsampled family."""
-    x_spec, _, u_spec, _ = factors
-    return (Ensemble(members=x, true_mean=x_spec.mean),
-            Ensemble(members=u, true_mean=u_spec.mean, recentred=True),
-            None if vw is None else Ensemble(members=vw, true_mean=u_spec.mean, recentred=True))
-
-
 def run_trial(cfg, order, n, trial_index):
-    """One benchmark trial through per-call `estimate()`s, one lambda at a
-    time: returns signed per-dimension errors for every configured
-    estimator at every lambda, reusing the trial's ensembles and cached
-    evaluations."""
-    need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
-    factors = _draw_factors(cfg)
-    x, u, vw = _draw_trials(cfg, factors, n, trial_index, trial_index + 1, need_vw)
-    x, u, vw = x[0], u[0], (vw[0] if need_vw else None)
-    x_ens, u_ens, vw_ens = _ensembles(factors, x, u, vw)
+    """One benchmark trial, drawn as a stack of one and unstacked, through
+    per-call `estimate()`s, one lambda at a time: returns signed
+    per-dimension errors for every configured estimator at every lambda,
+    reusing the trial's ensembles and cached evaluations."""
+    x_ens, u_ens, vw_ens = (None if e is None else replace(e, members=e.members[0])
+                            for e in _draw_trials(cfg, n, trial_index, trial_index + 1))
     obj = CountingObjective(hermite_objective(order, cfg.dims))
-    truth = trial_truth(cfg, order, x)
+    truth = trial_truth(cfg, order, x_ens.members)
 
     errors, skips, evals = {}, {}, {}
     for est in cfg.estimators:
@@ -316,7 +292,7 @@ def run_trial(cfg, order, n, trial_index):
             skips[est] = str(e)
             continue
         errors[est] = np.array(rows)
-    return TrialOutcome(errors=errors, skips=skips, evals=evals, truth=truth)
+    return TrialOutcome(errors=errors, skips=skips, evals=evals)
 
 
 def _block_batch_size(dims, m, n):
@@ -329,13 +305,10 @@ def _sub_batches(cfg, n, lo, hi):
     for the controls and the pooled controls, `(Ensemble, shared memo)`.
     The memo holds the controls' SVDs and anomalies, which no objective
     changes."""
-    factors = _draw_factors(cfg)
-    need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     step = _block_batch_size(cfg.dims, cfg.m_members or n, n)
     subs = []
     for blo in range(lo, hi, step):
-        x_ens, u_ens, vw_ens = _ensembles(
-            factors, *_draw_trials(cfg, factors, n, blo, min(blo + step, hi), need_vw))
+        x_ens, u_ens, vw_ens = _draw_trials(cfg, n, blo, min(blo + step, hi))
         subs.append((x_ens, {False: (u_ens, {}), True: (vw_ens, {})}))
     return subs
 
@@ -521,16 +494,9 @@ def select_best_lambda(rows, metric="rmse"):
 
 
 def write_results_csv(path, rows):
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RESULTS_HEADER)
-        for r in rows:
-            w.writerow(
-                [r.estimator, r.order, r.n, repr(float(r.lam)), repr(float(r.rmse)),
-                 repr(float(r.bias)), r.evals, r.trials]
-            )
+    """Result rows under `RESULTS_HEADER`; an int lambda writes as a float."""
+    write_rows_csv(path, RESULTS_HEADER, ((r.estimator, r.order, r.n, float(r.lam), r.rmse, r.bias,
+                                           r.evals, r.trials) for r in rows))
 
 
 def read_results_csv(path):

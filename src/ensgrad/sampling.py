@@ -171,17 +171,22 @@ def decorrelate(e, psi):
     return Ensemble(members=members, true_mean=e.true_mean, recentred=True, note=note)
 
 
+def write_rows_csv(path, header, rows):
+    """The one writer of the package's CSV files: the header, then the rows
+    as given. `csv` writes a Python float as its repr, which reads back bit
+    for bit, so callers pass Python floats (`.tolist()` for numpy rows)."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_ensemble_csv(path, members):
     """One member per row under a `dim_0,...,dim_{d-1}` header."""
     members = np.asarray(members, dtype=float)
     if members.ndim != 2:
         raise DimensionError(f"expected a 2-D member matrix, got shape {members.shape}")
-    d = members.shape[0]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"dim_{i}" for i in range(d)])
-        for col in members.T:
-            w.writerow([repr(float(x)) for x in col])
+    write_rows_csv(path, [f"dim_{i}" for i in range(members.shape[0])], members.T.tolist())
 
 
 def read_ensemble_csv(path):

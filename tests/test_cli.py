@@ -140,6 +140,20 @@ class TestBench:
         assert f"{name}: repeated values" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.json", BENCH_CFG)
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o", "--seed", -1)
+        assert rc == 2
+        assert "base_seed: expected non-negative int" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.json", BENCH_CFG)
+        (tmp_path / "o").write_text("")
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 2
+        assert err.count("\n") == 1 and "File exists" in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.json", dict(BENCH_CFG, bogus=1))
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
@@ -394,6 +408,12 @@ class TestRastrigin:
 
     def test_zero_steps_exits_2(self, tmp_path, capsys):
         assert run(capsys, "rastrigin", "--out", tmp_path / "x", "--steps", "0")[0] == 2
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "x").write_text("")
+        rc, out, err = run(capsys, "rastrigin", "--out", tmp_path / "x")
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1 and "File exists" in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ensgrad.harness import (
     ConfigError,
     DescentConfig,
     ErrorStats,
+    ResultRow,
     _draw_trials,
     _run_group,
     aggregate,
@@ -79,7 +80,11 @@ class TestBenchConfig:
 
     @pytest.mark.parametrize("name,value", [("base_seed", False), ("n_trials", True),
                                             ("dims", True), ("hermite_orders", [2, True]),
-                                            ("ensemble_sizes", [True]), ("m_members", True)])
+                                            ("ensemble_sizes", [True]), ("m_members", True),
+                                            ("base_seed", -1), ("lambda_grid", [True, False]),
+                                            ("u_mean", [True, 0.0, 0.0]),
+                                            ("x_mean", [True, True, True]), ("u_cov", True),
+                                            ("x_cov", [0.25, False, 0.25])])
     def test_bools_are_not_ints(self, name, value):
         # JSON's true/false load as bools, which Python counts as ints
         with pytest.raises(ConfigError, match=f"{name}: expected"):
@@ -440,11 +445,19 @@ class TestAggregation:
         by_bias = {(r.estimator): r.lam for r in select_best_lambda(rows, "bias")}
         assert by_rmse != by_bias
 
-    def test_results_csv_round_trip(self, tmp_path):
-        rows = self._rows()
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_results_csv_round_trip(self, tmp_path, edge):
+        # the edge rows: an int lambda, a signed zero, the smallest subnormal,
+        # a large and an inexact float
+        rows = [ResultRow("paired", 3, 6, 0, -0.0, 5e-324, 6, 40),
+                ResultRow("paired", 3, 6, 0.1, 1e16, 0.1, 6, 40)] if edge else self._rows()
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
         assert read_results_csv(path) == rows
+        if edge:
+            assert path.read_text() == ("estimator,order,N,lambda,rmse,bias,evals,trials\n"
+                                        "paired,3,6,0.0,-0.0,5e-324,6,40\n"
+                                        "paired,3,6,0.1,1e+16,0.1,6,40\n")
 
 
 class TestBootstrap:

@@ -60,3 +60,7 @@ def test_traced_run_reads_the_package(tmp_path):
     assert metrics["objectives.hermite_calls"] > 0
     assert metrics["linalg.svd_matrices"] > 0
     assert metrics["harness.aggregate_s"] > 0
+    # the CLI's results write goes through the traced harness.write_results_csv
+    # (cli.write_s also counts write_manifest, so the span is checked by name)
+    assert metrics["cli.write_s"] > 0
+    assert any(span[0] == "harness.write_results_csv" for span in tracer.spans)

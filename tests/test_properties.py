@@ -21,13 +21,12 @@ from ensgrad.harness import (
     DEFAULT_SIZES,
     BenchConfig,
     ErrorStats,
-    _draw_factors,
     _draw_trials,
     aggregate,
     run_bench,
 )
 from ensgrad.linalg import PinvConfig, damp, damped_apply, svd, tikhonov_pinv
-from ensgrad.objectives import hermite_objective
+from ensgrad.objectives import bilinear_grad, bilinear_objective, hermite_objective
 from ensgrad.sampling import (
     Ensemble,
     GaussianSpec,
@@ -294,16 +293,51 @@ def decorrelate_with_vector_dots(members, mu, psi):
        need_vw=st.booleans(), u_cov=st.sampled_from((0.01, (0.04, 0.01, 0.09, 0.01, 0.02, 0.03))))
 def test_stacked_draws_equal_one_draw_per_trial(seed, dims, n, m, lo, k, need_vw, u_cov):
     cfg = BenchConfig(base_seed=seed, dims=dims, m_members=m,
-                      u_cov=u_cov if np.isscalar(u_cov) else np.array(u_cov[:dims]))
-    factors = _draw_factors(cfg)
-    got = _draw_trials(cfg, factors, n, lo, lo + k, need_vw)
-    rows = [_draw_trials(cfg, factors, n, t, t + 1, need_vw) for t in range(lo, lo + k)]
+                      u_cov=u_cov if np.isscalar(u_cov) else np.array(u_cov[:dims]),
+                      estimators=tuple(e for e in ESTIMATOR_IDS
+                                       if need_vw or e not in SUBSAMPLED_IDS))
+    got = _draw_trials(cfg, n, lo, lo + k)
+    rows = [_draw_trials(cfg, n, t, t + 1) for t in range(lo, lo + k)]
     for i, part in enumerate(got):
         if i == 2 and not need_vw:
             assert part is None and all(r[i] is None for r in rows)
             continue
-        assert np.array_equal(part, np.concatenate([r[i] for r in rows]))
+        assert np.array_equal(part.members, np.concatenate([r[i].members for r in rows]))
     # each trial's x-members come first in its own child stream
-    x_spec, lx, _, _ = factors
+    x_spec = cfg.x_spec()
     z = rng_from(child_seed(seed, lo)).standard_normal((dims, m or n))
-    assert np.array_equal(got[0][0], x_spec.mean[:, None] + lx @ z)
+    assert np.array_equal(got[0].members[0], x_spec.mean[:, None] + x_spec.factor() @ z)
+
+
+# ---------------------------------------------------------------------------
+# The bilinear identities of `ensgrad linear-check` at random seeds, sizes and
+# objective rows, at its tolerances: with an objective A x + B u summed over
+# rows, stosag is exact, the paired error is (A X).sum(0) @ Ut^+ in closed
+# form, and decorrelation removes it. Errors are relative to the compared
+# quantity's largest entry.
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# (d, N) with N in d+2..30, as linear-check requires
+dims_and_sizes = st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(d + 2, 30)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, dn=dims_and_sizes, rows=st.integers(1, 4))
+def test_bilinear_identities(seed, dn, rows):
+    d, n = dn
+    rng = rng_from(child_seed(seed, 0))
+    a, b = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
+    spec = GaussianSpec(np.zeros(d), 1.0)
+    x_ens = draw_ensemble(spec, n, child_seed(seed, 1))
+    u_ens = recenter(draw_ensemble(spec, n, child_seed(seed, 2)))
+    obj, truth = bilinear_objective(a, b), bilinear_grad(b)
+    grads = {kind: estimate(obj, x_ens, u_ens, EstimatorSpec(kind=kind)).grad
+             for kind in ("stosag", "paired", "decorr")}
+    paired_err = (a @ x_ens.members).sum(axis=0) @ tikhonov_pinv(u_ens.anomalies, PinvConfig(0.0))
+    assert rel_err(grads["stosag"], truth) <= 1e-8
+    assert rel_err(grads["paired"] - truth, paired_err) <= 1e-8
+    assert rel_err(grads["decorr"], truth) <= 1e-6

@@ -180,12 +180,20 @@ class TestDecorrelate:
 
 
 class TestEnsembleCsv:
-    def test_round_trip_exact(self, tmp_path):
-        members = rng_from(15).standard_normal((4, 7)) * 1e-3
+    # the edge members: an int zero, a signed zero, the smallest subnormal, a
+    # large and an inexact float, with their exact text on disk
+    @pytest.mark.parametrize("members,text", [
+        (rng_from(15).standard_normal((4, 7)) * 1e-3, None),
+        ([[0, -0.0, 5e-324, 1e16, 0.1]], "dim_0\n0.0\n-0.0\n5e-324\n1e+16\n0.1\n"),
+    ])
+    def test_round_trip_exact(self, tmp_path, members, text):
         path = tmp_path / "ens.csv"
         write_ensemble_csv(path, members)
         back = read_ensemble_csv(path)
         assert np.array_equal(back, members)
+        assert np.array_equal(np.signbit(back), np.signbit(members))
+        if text is not None:
+            assert path.read_text() == text
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "ens.csv"
