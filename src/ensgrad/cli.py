@@ -115,7 +115,7 @@ def _cmd_bench(args):
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)  # an --out that names a file fails here
-    except (OSError, json.JSONDecodeError, ConfigError, TypeError) as e:
+    except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
 

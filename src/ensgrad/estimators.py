@@ -89,7 +89,7 @@ class CountingObjective:
         self.spec = spec
         self.evals = 0
         self.grad_evals = 0
-        self._memos = {}
+        self._memos = []  # (key, memo) of the latest two pairs, latest first
 
     def _evaluate(self, kind, X, U):
         out = getattr(self.spec, kind)(X, U)
@@ -127,12 +127,17 @@ class CountingObjective:
         both ensembles' members and true means and on their `recentred`
         flags, so an ensemble edited in place is a new key. Only the memos
         of the latest two pairs are kept, enough for a sweep that alternates
-        (X, U) and (X, VW), so a loop over fresh ensembles stays bounded."""
-        key = tuple((e.recentred, e.members.shape, e.members.tobytes(),
-                     e.true_mean.shape, e.true_mean.tobytes()) for e in (X, U))
-        memo = self._memos[key] = self._memos.pop(key, {})
-        if len(self._memos) > 2:
-            del self._memos[next(iter(self._memos))]
+        (X, U) and (X, VW), so a loop over fresh ensembles stays bounded. A
+        key is compared with those two for equality, never hashed."""
+        key = [(e.recentred, e.members.shape, e.members.tobytes(),
+                e.true_mean.shape, e.true_mean.tobytes()) for e in (X, U)]
+        for i, (k, memo) in enumerate(self._memos):
+            if k == key:
+                self._memos.insert(0, self._memos.pop(i))
+                break
+        else:
+            memo = {}
+            self._memos = [(key, memo)] + self._memos[:1]
         return Batch(self, X, U, memo, memo)
 
 
@@ -154,8 +159,9 @@ class Batch:
         self._shared = self._memo if shared is None else shared
 
     def once(self, key, compute, shared=False):
-        """`compute()`, evaluated on the first call with this key only; kept
-        in the shared memo when `shared`, for work that reads only `U`."""
+        """`compute()`, run on the first call with this key and kept in the
+        shared memo when `shared`, for work that reads only `U`. A compute
+        that raises keeps nothing, so the next call runs it again."""
         memo = self._shared if shared else self._memo
         if key not in memo:
             memo[key] = compute()
@@ -243,21 +249,21 @@ def _paired(b, spec, lambdas):
 
 def _stosag(b, spec, lambdas):
     _require_paired_recentred(b, "stosag")
-    return _regress(b.values() - b.baseline(), b, spec, lambdas), b.U.n, b.X.n
+    row = b.once("stosag", lambda: b.values() - b.baseline())
+    return _regress(row, b, spec, lambdas), b.U.n, b.X.n
 
 
 def _one_sided(b, spec, lambdas):
     """Mirrored two-sided form with the reflected values replaced by their
     linear extrapolation 2*loss(X, mu) - loss(X, U); collapses to stosag."""
     _require_paired_recentred(b, "one_sided")
-    r_back = 2.0 * b.baseline() - b.values()
-    return _regress(0.5 * (b.values() - r_back), b, spec, lambdas), b.U.n, b.X.n
+    row = b.once("one_sided", lambda: 0.5 * (b.values() - (2.0 * b.baseline() - b.values())))
+    return _regress(row, b, spec, lambdas), b.U.n, b.X.n
 
 
 def _mirrored2s(b, spec, lambdas):
     _require_paired_recentred(b, "mirrored2s")
-    mirrored = b.once("mirrored", lambda: b.obj.pairs(b.X.members, mirror(b.U)))
-    row = 0.5 * (b.values() - mirrored)
+    row = b.once("mirrored2s", lambda: 0.5 * (b.values() - b.obj.pairs(b.X.members, mirror(b.U))))
     return _regress(row, b, spec, lambdas), 2 * b.U.n, 0
 
 
@@ -281,11 +287,16 @@ def _two_sided(b, spec, lambdas):
         raise DimensionError(
             f"two_sided needs 2*M = {2 * b.X.n} controls laid out in pairs, got {b.U.n}"
         )
-    diff = b.U.members[..., 0::2] - b.U.members[..., 1::2]
-    if np.any(np.linalg.norm(diff, axis=-2) == 0.0):
-        raise DegenerateEnsembleError("two_sided: some pair has v == w")
+
+    def pair_diffs():
+        diff = b.U.members[..., 0::2] - b.U.members[..., 1::2]
+        if np.any(np.linalg.norm(diff, axis=-2) == 0.0):
+            raise DegenerateEnsembleError("two_sided: some pair has v == w")
+        return diff
+
+    diff = b.once("pair_diffs", pair_diffs, shared=True)
     rows = b.group_rows(2)
-    row = rows[..., 0] - rows[..., 1]
+    row = b.once("two_sided", lambda: rows[..., 0] - rows[..., 1])
     if spec.precondition:
         grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
     else:
@@ -310,12 +321,16 @@ def _average_lls(b, spec, lambdas):
     if spec.subsample_size > 2:
         grad = damped_apply(rows, b.damped("groups", lambda: anoms, lambdas))
         return grad.mean(axis=-2), b.U.n, 0
-    # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
-    vt = anoms[..., 0]
-    nrm2 = (vt * vt).sum(axis=-1)
-    if np.any(nrm2 == 0.0):
-        raise DegenerateEnsembleError("average_lls: some pair has v == w")
-    grad = ((rows[..., 0] - rows[..., 1])[..., None] * vt / (2.0 * nrm2[..., None])).mean(axis=-2)
+
+    def rank1():
+        # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
+        vt = anoms[..., 0]
+        nrm2 = (vt * vt).sum(axis=-1)
+        if np.any(nrm2 == 0.0):
+            raise DegenerateEnsembleError("average_lls: some pair has v == w")
+        return ((rows[..., 0] - rows[..., 1])[..., None] * vt / (2.0 * nrm2[..., None])).mean(axis=-2)
+
+    grad = b.once("rank1", rank1)
     return np.stack([grad / (1.0 + lam**2) for lam in lambdas]), b.U.n, 0
 
 

@@ -23,6 +23,8 @@ Rastrigin surface and the control-variate variance-reduction law check.
 
 import contextlib
 import math
+import numbers
+import sys
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -68,6 +70,11 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    """A real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark setup. Defaults reproduce the desk-scale study: 5 dims,
@@ -102,30 +109,29 @@ class BenchConfig:
 
     def validate(self):
         problems = []
+
+        def bad(name, ok):  # not a non-empty list or tuple whose entries are all `ok`
+            v = getattr(self, name)
+            return not isinstance(v, (tuple, list)) or not v or not all(map(ok, v))
+
         if not _is_int(self.base_seed) or self.base_seed < 0:
             problems.append(f"base_seed: expected non-negative int, got {self.base_seed!r}")
         if not _is_int(self.n_trials) or self.n_trials < 1:
             problems.append(f"n_trials: expected positive int, got {self.n_trials!r}")
         if not _is_int(self.dims) or self.dims < 1:
             problems.append(f"dims: expected positive int, got {self.dims!r}")
-        if not self.hermite_orders or any(
-            not _is_int(k) or not 0 <= k <= 6 for k in self.hermite_orders
-        ):
+        if bad("hermite_orders", lambda k: _is_int(k) and 0 <= k <= 6):
             problems.append(f"hermite_orders: expected ints in [0, 6], got {self.hermite_orders!r}")
-        if not self.ensemble_sizes or any(
-            not _is_int(n) or n < 2 for n in self.ensemble_sizes
-        ):
+        if bad("ensemble_sizes", lambda n: _is_int(n) and n >= 2):
             problems.append(f"ensemble_sizes: expected ints >= 2, got {self.ensemble_sizes!r}")
-        if not self.lambda_grid or any(
-            not np.isfinite(l) or l < 0 for l in self.lambda_grid
-        ):
-            problems.append(f"lambda_grid: expected finite values >= 0, got {self.lambda_grid!r}")
-        for name in ("lambda_grid", "u_mean", "x_mean", "u_cov", "x_cov"):  # JSON true/false
-            if any(isinstance(v, bool) for v in np.ravel(np.array(getattr(self, name), object))):
-                problems.append(f"{name}: expected numbers, got {getattr(self, name)!r}")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
-        if not self.estimators or unknown:
-            problems.append(f"estimators: unknown ids {unknown!r}, known: {list(ESTIMATOR_IDS)}")
+        if bad("lambda_grid", lambda l: _is_real(l) and 0 <= l <= sys.float_info.max):
+            problems.append(f"lambda_grid: expected finite numbers >= 0, got {self.lambda_grid!r}")
+        for name in ("u_mean", "x_mean", "u_cov", "x_cov"):  # JSON true/false, strings, null
+            value = getattr(self, name)
+            if value is not None and not all(map(_is_real, np.ravel(np.array(value, object)))):
+                problems.append(f"{name}: expected numbers, got {value!r}")
+        if bad("estimators", lambda e: e in ESTIMATOR_IDS):
+            problems.append(f"estimators: expected ids from {list(ESTIMATOR_IDS)}, got {self.estimators!r}")
         # a repeated entry would run, and count, the same trials twice
         for name in ("hermite_orders", "ensemble_sizes", "lambda_grid", "estimators"):
             values = getattr(self, name)
@@ -138,8 +144,9 @@ class BenchConfig:
         ):
             problems.append(f"m_members: expected int >= 2 or null, got {self.m_members!r}")
         for name, mean in (("u", self.u_mean), ("x", self.x_mean)):
-            if mean is not None and len(np.atleast_1d(mean)) != self.dims:
-                problems.append(f"{name}_mean: length {len(np.atleast_1d(mean))} != dims {self.dims}")
+            size = None if mean is None else len(np.atleast_1d(np.array(mean, object)))
+            if size not in (None, self.dims):
+                problems.append(f"{name}_mean: length {size} != dims {self.dims}")
         if problems:
             raise ConfigError("; ".join(problems))
         try:
@@ -163,6 +170,8 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"expected an object of config keys, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:

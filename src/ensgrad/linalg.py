@@ -39,13 +39,18 @@ def svd(a):
 def damp(s, lambdas):
     """Damped reciprocals of singular values s (..., k) at every lambda,
     (L, ..., k): `s/(s^2 + (lam*s1)^2)`, or at `lam=0` the Moore-Penrose
-    reciprocals with values below `RANK_RTOL*s1` truncated. A zero spectrum
-    gives zeros."""
+    reciprocals with values below `RANK_RTOL*s1` truncated; each lambda
+    computes only its own branch. A zero spectrum gives zeros."""
     lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
     s1 = s[..., :1]
-    keep = s > RANK_RTOL * s1
-    damped = s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
-    return np.where(lam == 0.0, keep / np.where(keep, s, 1.0), damped)
+    if np.count_nonzero(lam) == len(lam):
+        return s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
+    out = np.repeat(np.divide(1.0, s, out=np.zeros(s.shape), where=s > RANK_RTOL * s1)[None],
+                    len(lam), axis=0)
+    nz = np.flatnonzero(lam)
+    if nz.size:  # the nonzero lambdas, in one broadcast
+        out[nz] = s / np.maximum(s**2 + (lam[nz] * s1) ** 2, _TINY)
+    return out
 
 
 def tikhonov_pinv(a, cfg=PinvConfig()):

@@ -171,6 +171,15 @@ class TestBench:
                          "--out", tmp_path / "o")
         assert rc == 2
 
+    @pytest.mark.parametrize("cfg,field", [({"lambda_grid": ["a"]}, "lambda_grid"),
+                                           ({"hermite_orders": 2}, "hermite_orders"),
+                                           ([0.1], "expected an object")])
+    def test_ill_typed_config_exits_2_naming_the_field(self, tmp_path, capsys, cfg, field):
+        p = write_cfg(tmp_path / "cfg.json", cfg)
+        rc, _, err = run(capsys, "bench", "--config", p, "--out", tmp_path / "o")
+        assert rc == 2
+        assert f"invalid benchmark configuration: {field}" in err
+
     def test_manifest_hashes_and_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "cfg.json", BENCH_CFG)
         out = tmp_path / "out"

@@ -16,6 +16,7 @@ from ensgrad.estimators import (
     estimate,
     estimate_batch,
 )
+from ensgrad.harness import DEFAULT_LAMBDAS
 from ensgrad.linalg import PinvConfig, sample_cross_cov, svd, tikhonov_pinv
 from ensgrad.objectives import (
     ObjectiveSpec,
@@ -421,6 +422,33 @@ class TestAccounting:
         got = estimate(obj, x, u, spec_for(kind))
         fresh = estimate(CountingObjective(hermite_objective(3, dims=D)), x, u, spec_for(kind))
         assert np.array_equal(got.grad, fresh.grad)
+
+    def test_lambda_sweep_has_the_bits_of_fresh_calls(self):
+        # a sweep's order: each estimator at every default lambda, all through
+        # one objective, paired and pooled controls alternating
+        x, u = draw_xu(37, n=6)
+        vw = recenter(draw_ensemble(U_SPEC, 12, child_seed(37, 2)))
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        for kind in ESTIMATOR_IDS:
+            ens = vw if kind in SUBSAMPLED_IDS else u
+            for lam in DEFAULT_LAMBDAS:
+                got = estimate(obj, x, ens, spec_for(kind, lam))
+                fresh = estimate(CountingObjective(hermite_objective(3, dims=D)), x, ens,
+                                 spec_for(kind, lam))
+                assert got.grad.tobytes() == fresh.grad.tobytes(), (kind, lam)
+                assert (got.evals, got.cached) == (fresh.evals, fresh.cached)
+
+    def test_degenerate_pair_raises_at_every_lambda_of_a_sweep(self):
+        # the pair check is memoised with the pair differences, so a pair
+        # with v == w must fail on every call, not only on the first
+        x, _ = draw_xu(38, n=3)
+        members = np.repeat(draw_ensemble(U_SPEC, 3, 38).members, 2, axis=1)
+        vw = Ensemble(members=members, true_mean=np.zeros(D))
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        for lam in DEFAULT_LAMBDAS:
+            for kind in ("two_sided", "average_lls"):
+                with pytest.raises(DegenerateEnsembleError):
+                    estimate(obj, x, vw, spec_for(kind, lam))
 
     def test_memo_holds_no_reference_cycle(self):
         obj = CountingObjective(hermite_objective(3, dims=D))

@@ -90,6 +90,23 @@ class TestBenchConfig:
         with pytest.raises(ConfigError, match=f"{name}: expected"):
             BenchConfig.from_dict(dict(SMALL.to_dict(), **{name: value}))
 
+    @pytest.mark.parametrize("name,value", [("lambda_grid", ["a"]), ("lambda_grid", [None]),
+                                            ("lambda_grid", [[0.1]]), ("lambda_grid", 0.1),
+                                            ("lambda_grid", [10**400]),
+                                            ("hermite_orders", 2), ("ensemble_sizes", "55"),
+                                            ("estimators", "stosag"), ("estimators", [["stosag"]]),
+                                            ("u_mean", ["a", 0.0, 0.0]), ("x_mean", [None] * 3),
+                                            ("u_mean", [[0.0], [0.0, 0.0], [0.0]])])
+    def test_ill_typed_fields_are_config_errors_naming_the_field(self, name, value):
+        # JSON strings, nulls, nested lists and scalars where a list belongs
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
+            BenchConfig.from_dict(dict(SMALL.to_dict(), **{name: value}))
+
+    @pytest.mark.parametrize("value", [[], [SMALL.to_dict()], "cfg", 3, None])
+    def test_config_that_is_not_an_object_rejected(self, value):
+        with pytest.raises(ConfigError, match="expected an object"):
+            BenchConfig.from_dict(value)
+
     def test_bad_covariance_reported(self):
         with pytest.raises(ConfigError, match="u_cov"):
             BenchConfig(u_cov=-1.0).validate()

@@ -25,7 +25,7 @@ from ensgrad.harness import (
     aggregate,
     run_bench,
 )
-from ensgrad.linalg import PinvConfig, damp, damped_apply, svd, tikhonov_pinv
+from ensgrad.linalg import RANK_RTOL, PinvConfig, damp, damped_apply, svd, tikhonov_pinv
 from ensgrad.objectives import bilinear_grad, bilinear_objective, hermite_objective
 from ensgrad.sampling import (
     Ensemble,
@@ -193,6 +193,54 @@ def test_damped_apply_equals_row_times_pinv(seed, stack, m, k, rank, lams):
         for i in range(stack):
             want = rows[i] @ tikhonov_pinv(a[i], PinvConfig(lam))
             assert np.abs(got[l, i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def two_branch_damp(s, lambdas):
+    """`damp` as it was when it computed both branches at every lambda and
+    picked one with `np.where`."""
+    lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
+    s1 = s[..., :1]
+    keep = s > RANK_RTOL * s1
+    damped = s / np.maximum(s**2 + (lam * s1) ** 2, np.finfo(float).tiny)
+    return np.where(lam == 0.0, keep / np.where(keep, s, 1.0), damped)
+
+
+@st.composite
+def spectra(draw):
+    """Stacks (..., k) of spectra, largest value first, with zeros,
+    all-zero rows, values below 1e-154 (whose squares underflow) and values
+    exactly at the truncation cutoff `RANK_RTOL*s1`."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (draw(st.integers(1, 5)),)
+    size = int(np.prod(shape))
+    values = st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 1e-160, 1e-154, 1.0, 1e150)),
+                       st.floats(0.0, 1e200))
+    s = np.sort(np.array(draw(st.lists(values, min_size=size, max_size=size))))
+    s = s.reshape(shape)[..., ::-1].copy()
+    at_cut = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    at_cut[..., 0] = False
+    s = np.where(at_cut, RANK_RTOL * s[..., :1], s)
+    if draw(st.booleans()):
+        s.reshape(-1, shape[-1])[0] = 0.0
+    return s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=spectra(),
+       lams=st.lists(st.one_of(st.sampled_from((0.0, 1e-12, 1e-4, 3e-2, 1.0, 3.0)),
+                               st.floats(0.0, 1e3)), min_size=1, max_size=6))
+def test_damp_rows_are_the_single_lambda_calls_and_the_two_branch_formula(s, lams):
+    # squares above 1e154 and reciprocals of subnormals overflow to inf in
+    # both forms alike
+    with np.errstate(over="ignore"):
+        got = damp(s, lams)
+        want = two_branch_damp(s, lams)
+        singles = [damp(s, (lam,)) for lam in lams]
+    assert got.shape == want.shape == (len(lams),) + s.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for row, single in zip(got, singles):
+        assert single.shape == (1,) + s.shape
+        assert row.tobytes() == single[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
