@@ -25,6 +25,7 @@ import contextlib
 import math
 import numbers
 import sys
+from collections import namedtuple
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -42,6 +43,7 @@ from .estimators import (
 )
 from .linalg import PinvConfig
 from .objectives import (
+    MAX_HERMITE_ORDER,
     hermite_expected_grad,
     hermite_expected_grad_dist,
     hermite_objective,
@@ -55,6 +57,7 @@ TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred
 
 DEFAULT_LAMBDAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0)
 DEFAULT_SIZES = (3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100)
+MAX_DIMS = 1000  # validate() and every block factor a dims x dims covariance
 # Trials per block of the CLI's runs: the block of the default 10^4-trial run
 # at run_bench's 50 blocks per cell, so that run keeps its bits while shorter
 # runs make fewer, larger blocks.
@@ -65,14 +68,40 @@ class ConfigError(ValueError):
     """Invalid benchmark configuration; the CLI maps this to exit code 2."""
 
 
-def _is_int(v):
-    """An int that is not a bool (JSON's true/false load as bools)."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _ints(lo, hi=math.inf):  # bools are ints to Python, and JSON's true/false load as bools
+    return lambda v: not isinstance(v, bool) and isinstance(v, int) and lo <= v <= hi
 
 
-def _is_real(v):
-    """A real number that is not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _reals(lo=-sys.float_info.max, hi=sys.float_info.max):  # finite: NaN fails every comparison
+    return lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real) and lo <= v <= hi
+
+
+def _entries(v):  # of a number, vector or matrix; a deeper list is one entry, and fails
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    rows = v if isinstance(v, (list, tuple)) else [v]
+    return [x for r in rows for x in (r if isinstance(r, (list, tuple)) else [r])]
+
+
+# Per BenchConfig field: its shape, check per entry, what that accepts, from_dict's conversion
+# per entry. Shapes: "one" value; "distinct", a non-empty tuple of differing entries (a repeat
+# would run trials twice); "mean", dims numbers or null; "cov", numbers that must factor.
+_Field = namedtuple("_Field", "shape ok what entry", defaults=(None,))
+_MEAN, _COV = _Field("mean", _reals(), "finite numbers"), _Field("cov", _reals(), "finite numbers")
+CONFIG_FIELDS = {
+    "base_seed": _Field("one", _ints(0), "non-negative int"),
+    "n_trials": _Field("one", _ints(1), "positive int"),
+    "dims": _Field("one", _ints(1, MAX_DIMS), f"int in [1, {MAX_DIMS}]"),
+    "hermite_orders": _Field("distinct", _ints(0, MAX_HERMITE_ORDER),
+                             f"ints in [0, {MAX_HERMITE_ORDER}]"),
+    "ensemble_sizes": _Field("distinct", _ints(2), "ints >= 2"),
+    "lambda_grid": _Field("distinct", _reals(0), "finite numbers >= 0", float),
+    "estimators": _Field("distinct", ESTIMATOR_IDS.__contains__, f"ids from {list(ESTIMATOR_IDS)}"),
+    "u_mean": _MEAN, "u_cov": _COV, "x_mean": _MEAN, "x_cov": _COV,
+    "truth": _Field("one", ("conditional", "distribution").__contains__,
+                    "'conditional' or 'distribution'"),
+    "m_members": _Field("one", lambda v: v is None or _ints(2)(v), "int >= 2 or null"),
+    "charge_cached": _Field("one", lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -96,64 +125,37 @@ class BenchConfig:
     charge_cached: bool = False
 
     def u_spec(self):
-        mean = np.zeros(self.dims) if self.u_mean is None else np.asarray(self.u_mean, float)
+        mean = np.zeros(self.dims) if self.u_mean is None else self.u_mean
         return GaussianSpec(mean=mean, cov=self.u_cov)
 
     def x_spec(self):
-        mean = (
-            np.linspace(-2.0, 2.0, self.dims)
-            if self.x_mean is None
-            else np.asarray(self.x_mean, float)
-        )
+        mean = np.linspace(-2.0, 2.0, self.dims) if self.x_mean is None else self.x_mean
         return GaussianSpec(mean=mean, cov=self.x_cov)
 
     def validate(self):
-        problems = []
-
-        def bad(name, ok):  # not a non-empty list or tuple whose entries are all `ok`
+        """Check every field against its `CONFIG_FIELDS` entry, naming each failing field."""
+        problems = {}
+        for name, (shape, ok, what, _) in CONFIG_FIELDS.items():
             v = getattr(self, name)
-            return not isinstance(v, (tuple, list)) or not v or not all(map(ok, v))
-
-        if not _is_int(self.base_seed) or self.base_seed < 0:
-            problems.append(f"base_seed: expected non-negative int, got {self.base_seed!r}")
-        if not _is_int(self.n_trials) or self.n_trials < 1:
-            problems.append(f"n_trials: expected positive int, got {self.n_trials!r}")
-        if not _is_int(self.dims) or self.dims < 1:
-            problems.append(f"dims: expected positive int, got {self.dims!r}")
-        if bad("hermite_orders", lambda k: _is_int(k) and 0 <= k <= 6):
-            problems.append(f"hermite_orders: expected ints in [0, 6], got {self.hermite_orders!r}")
-        if bad("ensemble_sizes", lambda n: _is_int(n) and n >= 2):
-            problems.append(f"ensemble_sizes: expected ints >= 2, got {self.ensemble_sizes!r}")
-        if bad("lambda_grid", lambda l: _is_real(l) and 0 <= l <= sys.float_info.max):
-            problems.append(f"lambda_grid: expected finite numbers >= 0, got {self.lambda_grid!r}")
-        for name in ("u_mean", "x_mean", "u_cov", "x_cov"):  # JSON true/false, strings, null
-            value = getattr(self, name)
-            if value is not None and not all(map(_is_real, np.ravel(np.array(value, object)))):
-                problems.append(f"{name}: expected numbers, got {value!r}")
-        if bad("estimators", lambda e: e in ESTIMATOR_IDS):
-            problems.append(f"estimators: expected ids from {list(ESTIMATOR_IDS)}, got {self.estimators!r}")
-        # a repeated entry would run, and count, the same trials twice
-        for name in ("hermite_orders", "ensemble_sizes", "lambda_grid", "estimators"):
-            values = getattr(self, name)
-            if not any(p.startswith(name) for p in problems) and len(set(values)) < len(values):
-                problems.append(f"{name}: repeated values in {values!r}")
-        if self.truth not in ("conditional", "distribution"):
-            problems.append(f"truth: expected 'conditional' or 'distribution', got {self.truth!r}")
-        if self.m_members is not None and (
-            not _is_int(self.m_members) or self.m_members < 2
-        ):
-            problems.append(f"m_members: expected int >= 2 or null, got {self.m_members!r}")
-        for name, mean in (("u", self.u_mean), ("x", self.x_mean)):
-            size = None if mean is None else len(np.atleast_1d(np.array(mean, object)))
-            if size not in (None, self.dims):
-                problems.append(f"{name}_mean: length {size} != dims {self.dims}")
+            if shape in ("distinct", "mean"):  # a mean may be null, for the default
+                good = (v is None and shape == "mean") or (
+                    isinstance(v, (tuple, list, np.ndarray)) and len(v) > 0 and all(map(ok, v)))
+            else:
+                good = all(map(ok, _entries(v) if shape == "cov" else [v]))
+            if not good:
+                problems[name] = f"expected {what}, got {v!r}"
+            elif shape == "distinct" and len(set(v)) < len(v):
+                problems[name] = f"repeated values in {v!r}"
+            elif shape == "mean" and v is not None and len(v) != self.dims and "dims" not in problems:
+                problems[name] = f"length {len(v)} != dims {self.dims}"
+            elif shape == "cov" and not problems.keys() & {"dims", name[0] + "_mean"}:
+                try:  # u_cov factors u_spec() and x_cov x_spec(), each on its own
+                    if not np.isfinite(getattr(self, name[0] + "_spec")().factor()).all():
+                        problems[name] = "its factor is not finite"
+                except ValueError as e:  # includes LinAlgError and DimensionError
+                    problems[name] = str(e)
         if problems:
-            raise ConfigError("; ".join(problems))
-        try:
-            self.u_spec().factor()
-            self.x_spec().factor()
-        except Exception as e:
-            raise ConfigError(f"u_cov/x_cov: {e}") from e
+            raise ConfigError("; ".join(f"{k}: {p}" for k, p in problems.items()))
         return self
 
     def to_dict(self):
@@ -172,17 +174,14 @@ class BenchConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError(f"expected an object of config keys, got {type(d).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        unknown = sorted(set(d) - set(CONFIG_FIELDS))
         if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(known)}")
-        kwargs = dict(d)
-        for key in ("hermite_orders", "ensemble_sizes", "lambda_grid", "estimators",
-                    "u_mean", "x_mean"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs).validate()  # first, or float() reads true/false as 1.0/0.0
-        return replace(cfg, lambda_grid=tuple(float(l) for l in cfg.lambda_grid))
+            raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_FIELDS)}")
+        seqs = {k for k, f in CONFIG_FIELDS.items() if f.shape in ("distinct", "mean")}
+        cfg = cls(**{k: tuple(v) if k in seqs and isinstance(v, list) else v for k, v in d.items()})
+        cfg.validate()  # first, or float() reads true/false as 1.0/0.0
+        return replace(cfg, **{k: tuple(map(f.entry, getattr(cfg, k)))
+                               for k, f in CONFIG_FIELDS.items() if f.entry})
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     import time
 
     cfg.validate()
-    if not _is_int(blocks_per_cell) or blocks_per_cell < 1:
+    if not _ints(1)(blocks_per_cell):
         raise ConfigError(f"blocks_per_cell: expected positive int, got {blocks_per_cell!r}")
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)

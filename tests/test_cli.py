@@ -173,6 +173,8 @@ class TestBench:
 
     @pytest.mark.parametrize("cfg,field", [({"lambda_grid": ["a"]}, "lambda_grid"),
                                            ({"hermite_orders": 2}, "hermite_orders"),
+                                           ({"charge_cached": "no"}, "charge_cached"),
+                                           ({"x_cov": -1.0}, "x_cov"),
                                            ([0.1], "expected an object")])
     def test_ill_typed_config_exits_2_naming_the_field(self, tmp_path, capsys, cfg, field):
         p = write_cfg(tmp_path / "cfg.json", cfg)

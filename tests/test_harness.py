@@ -2,13 +2,15 @@
 
 import contextlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ensgrad.estimators import ESTIMATOR_IDS
 from ensgrad.harness import (
+    CONFIG_FIELDS,
+    MAX_DIMS,
     BenchConfig,
     ConfigError,
     DescentConfig,
@@ -28,6 +30,7 @@ from ensgrad.harness import (
     variance_improvement,
     write_results_csv,
 )
+from ensgrad.objectives import MAX_HERMITE_ORDER
 
 from golden_fixture import trial_stats
 
@@ -96,7 +99,14 @@ class TestBenchConfig:
                                             ("hermite_orders", 2), ("ensemble_sizes", "55"),
                                             ("estimators", "stosag"), ("estimators", [["stosag"]]),
                                             ("u_mean", ["a", 0.0, 0.0]), ("x_mean", [None] * 3),
-                                            ("u_mean", [[0.0], [0.0, 0.0], [0.0]])])
+                                            ("u_mean", [[0.0], [0.0, 0.0], [0.0]]),
+                                            ("charge_cached", "no"), ("u_cov", float("nan")),
+                                            ("x_mean", [float("inf"), 0.0, 0.0]),
+                                            ("u_mean", [10**400, 0.0, 0.0]),
+                                            ("x_cov", [0.25, -float("inf"), 0.25]),
+                                            ("hermite_orders", [MAX_HERMITE_ORDER + 1]),
+                                            ("dims", MAX_DIMS + 1), ("dims", 10**400),
+                                            ("u_cov", [[[0.01]]])])
     def test_ill_typed_fields_are_config_errors_naming_the_field(self, name, value):
         # JSON strings, nulls, nested lists and scalars where a list belongs
         with pytest.raises(ConfigError, match=f"^{name}: expected"):
@@ -110,6 +120,19 @@ class TestBenchConfig:
     def test_bad_covariance_reported(self):
         with pytest.raises(ConfigError, match="u_cov"):
             BenchConfig(u_cov=-1.0).validate()
+
+    @pytest.mark.parametrize("name", ["u_cov", "x_cov"])
+    @pytest.mark.parametrize("cov", [-1.0, [0.25, -0.25, 0.25], [[1.0, 2.0], [2.0, 1.0]],
+                                     np.eye(3).tolist(), [[1.0, 0.0], [0.0]], [],
+                                     [[1e308, 1e308], [1e308, 1e308]]])
+    def test_each_covariance_is_factored_on_its_own(self, name, cov):
+        # negative, indefinite, mis-shaped, ragged and overflowing covariances,
+        # at dims = 2
+        with pytest.raises(ConfigError, match=f"^{name}: [^;]*$"):
+            BenchConfig(dims=2, **{name: cov}).validate()
+
+    def test_field_table_covers_every_field(self):
+        assert list(CONFIG_FIELDS) == [f.name for f in fields(BenchConfig)]
 
 
 class TestErrorStats:

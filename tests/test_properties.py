@@ -2,11 +2,13 @@
 and over random matrix stacks for the damped pseudo-inverse.
 Every run draws the same examples (`derandomize`), so a failure replays."""
 
-from dataclasses import replace
+import json
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensgrad.estimators import (
@@ -20,6 +22,7 @@ from ensgrad.estimators import (
 from ensgrad.harness import (
     DEFAULT_SIZES,
     BenchConfig,
+    ConfigError,
     ErrorStats,
     _draw_trials,
     aggregate,
@@ -389,3 +392,31 @@ def test_bilinear_identities(seed, dn, rows):
     assert rel_err(grads["stosag"], truth) <= 1e-8
     assert rel_err(grads["paired"] - truth, paired_err) <= 1e-8
     assert rel_err(grads["decorr"], truth) <= 1e-6
+
+
+# JSON-like values: null, bools, ints (to 10**400), floats (NaN and +-inf
+# too), strings (the valid names among them), nested and empty lists, and
+# lists of distinct small numbers or names, which some fields accept
+names = st.sampled_from(ESTIMATOR_IDS + ("conditional", "distribution"))
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2, 8) | st.floats()
+                | st.sampled_from((10**400, -10**400, math.nan, math.inf, -math.inf))
+                | st.text(max_size=3) | names)
+json_values = (json_scalars
+               | st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=6),
+                              max_leaves=12)
+               | st.lists(st.integers(-1, 8) | st.floats(-1.0, 3.0), min_size=1, max_size=6,
+                          unique=True)
+               | st.lists(st.sampled_from(ESTIMATOR_IDS), min_size=1, max_size=4, unique=True))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(name=st.sampled_from([f.name for f in fields(BenchConfig)]), value=json_values)
+@example(name="truth", value="distribution")
+@example(name="hermite_orders", value=[0, 6])
+def test_config_field_either_validates_or_names_itself(name, value):
+    try:
+        cfg = BenchConfig.from_dict({name: value})
+    except ConfigError as e:
+        assert str(e).startswith(f"{name}: "), str(e)
+        return
+    assert cfg.validate() == BenchConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
