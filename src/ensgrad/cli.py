@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -115,45 +116,60 @@ def _cmd_bench(args):
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)  # an --out that names a file fails here
-    except (OSError, json.JSONDecodeError, ConfigError) as e:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ConfigError) as e:
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
 
-    rows, notes, failures = [], [], []
-    cells = [(order, n) for order in cfg.hermite_orders for n in cfg.ensemble_sizes]
-    # blocks of at most BLOCK_TRIALS trials, so runs of that many trials or fewer
-    # make one block per cell; one pool for all cells, and each cell's blocks
-    # are all back before its line prints
+    # one run_bench call per N, whose orders share each block's draws and SVDs;
+    # a call of one block (<= BLOCK_TRIALS trials) per cell runs here, so a pool
+    # starts only for more blocks: one per command, renewed after a worker dies
+    orders, sizes = cfg.hermite_orders, cfg.ensemble_sizes
     blocks_per_cell = math.ceil(cfg.n_trials / BLOCK_TRIALS)
-    pool = None
+    rows, skips, failed, printed, pool = [], {}, {}, [], None
+
+    def cell_done(order, n):
+        printed.append((order, n))
+        print(f"[{len(printed)}/{len(orders) * len(sizes)}] order={order} N={n} done",
+              file=sys.stderr)
+
     try:
-        for i, (order, n) in enumerate(cells):
-            if args.workers > 1 and pool is None:
+        for n in sizes:
+            def progress(done, total, n=n):  # each order's last block comes back last
+                if done > total - len(orders):
+                    cell_done(orders[done - total + len(orders) - 1], n)
+
+            if args.workers > 1 and blocks_per_cell > 1 and pool is None:
                 pool = harness.ProcessPoolExecutor(max_workers=args.workers)
-            cell_cfg = replace(cfg, hermite_orders=(order,), ensemble_sizes=(n,))
             try:
-                res = run_bench(cell_cfg, workers=pool or args.workers,
-                                blocks_per_cell=blocks_per_cell)
-                cell_rows = aggregate(res.stats)
-                finite = [r for r in cell_rows if math.isfinite(r.rmse) and math.isfinite(r.bias)]
-                rows.extend(finite)
-                for (s_order, s_n, est), reason in sorted(res.skips.items()):
-                    notes.append(f"skipped {est} at order={s_order} N={s_n}: {reason}")
-                if len(finite) < len(cell_rows):
-                    failures.append(f"order={order} N={n}: {len(cell_rows) - len(finite)} of "
-                                    f"{len(cell_rows)} rows have a non-finite rmse or bias; "
-                                    "left out")
-            except Exception as e:  # keep going; report partial results
-                failures.append(f"order={order} N={n}: {type(e).__name__}: {e}")
-                if isinstance(e, BrokenExecutor):  # a worker died: the next cell gets a new pool
+                res = run_bench(replace(cfg, ensemble_sizes=(n,)), workers=pool or 1,
+                                blocks_per_cell=blocks_per_cell, progress=progress)
+                rows.extend(aggregate(res.stats))
+                skips.update(res.skips)
+                failed.update(res.failures)
+            except Exception as e:  # keep going; a dead worker ran all of this N's orders
+                failed.update({(order, n): f"{type(e).__name__}: {e}" for order in orders})
+                if isinstance(e, BrokenExecutor):
                     pool.shutdown(cancel_futures=True)
                     pool = None
-            print(f"[{i + 1}/{len(cells)}] order={order} N={n} done", file=sys.stderr)
+            for order in orders:  # the cells of a failed call print too
+                if (order, n) not in printed:
+                    cell_done(order, n)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
+    def in_cell_order(items):  # keys (order, N, ...): the configured orders, then sizes
+        return sorted(items, key=lambda kv: (orders.index(kv[0][0]), sizes.index(kv[0][1]), kv[0]))
+
     rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
+    finite = [math.isfinite(r.rmse) and math.isfinite(r.bias) for r in rows]
+    per_cell = Counter((r.order, r.n) for r in rows)
+    for cell, k in Counter((r.order, r.n) for r, ok in zip(rows, finite) if not ok).items():
+        failed[cell] = f"{k} of {per_cell[cell]} rows have a non-finite rmse or bias; left out"
+    rows = [r for r, ok in zip(rows, finite) if ok]
+    notes = [f"skipped {est} at order={order} N={n}: {reason}"
+             for (order, n, est), reason in in_cell_order(skips.items())]
+    failures = [f"order={order} N={n}: {why}" for (order, n), why in in_cell_order(failed.items())]
     write_results_csv(os.path.join(args.out, "results.csv"), rows)
     write_results_csv(os.path.join(args.out, "best_lambda.csv"), select_best_lambda(rows))
     outputs = ["results.csv", "best_lambda.csv"]

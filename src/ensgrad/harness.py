@@ -355,11 +355,16 @@ def _run_block(cfg, order, subs):
 
 def _run_group(cfg, n, lo, hi):
     """`_run_block` of each configured order on trials [lo, hi) at size
-    `n`, yielded as each order finishes; the orders share one draw and one
-    set of control factorisations."""
+    `n`, yielded as each order finishes, or the `"Type: message"` of one
+    that raised; the orders share one draw and one set of control
+    factorisations."""
     subs = _sub_batches(cfg, n, lo, hi)
     for order in cfg.hermite_orders:
-        yield _run_block(cfg, order, subs)
+        try:
+            part = _run_block(cfg, order, subs)
+        except Exception as e:  # this (order, N) cell fails alone
+            part = f"{type(e).__name__}: {e}"
+        yield part
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +375,7 @@ def _run_group(cfg, n, lo, hi):
 class BenchResult:
     stats: dict  # (est, order, N, lam) -> ErrorStats
     skips: dict  # (order, N, est) -> reason
+    failures: dict = field(default_factory=dict)  # (order, N) -> "Type: message"
     blocks: dict = field(default_factory=dict)  # (est, order, N) -> (sums, trials)
     lambda_grid: tuple = ()  # the lambdas indexing the blocks' sums
     elapsed: float = 0.0
@@ -398,9 +404,11 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     on the full default grid), and (B,) trial counts, 0 where a block
     skipped est. The stats are views into the stacks' sums, the same for
     any `workers`; another split can move the last bits once a block spans
-    several sub-batches. `progress(i, n_blocks)` is called as each (order,
-    N, block) comes back, size-major: for each N and trial range, the
-    orders in turn."""
+    several sub-batches. An order that raises fails its (order, N) cell
+    alone: `failures[(order, N)]` holds the first `"Type: message"`, and
+    the cell keeps no stats, blocks or skips. `progress(i, n_blocks)` is
+    called as each (order, N, block) comes back, size-major: for each N and
+    trial range, the orders in turn."""
     import time
 
     cfg.validate()
@@ -417,7 +425,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     cells = {(order, n): (np.full((len(row), per_cell, 2, len(cfg.lambda_grid), cfg.dims), -0.0),
                           np.zeros((len(row), per_cell), dtype=np.int64), {})
              for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
-    skips, done = {}, 0
+    skips, failures, done = {}, {}, 0
     with contextlib.ExitStack() as stack:
         if isinstance(workers, Executor):
             parts = workers.map(_run_task, args)
@@ -427,20 +435,25 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
         else:
             parts = (_run_group(*a) for a in args)
         for i, ((n, *_), group) in enumerate(zip(tasks, parts)):
-            for order, (moments, part_skips) in zip(cfg.hermite_orders, group):
-                sums, trials, contracts = cells[(order, n)]
-                for est, (block_sums, block_trials, evals, cached) in moments.items():
-                    if contracts.setdefault(est, (evals, cached)) != (evals, cached):
-                        raise ValueError("merging stats with different evaluation contracts")
-                    sums[row[est], i % per_cell] = block_sums
-                    trials[row[est], i % per_cell] = block_trials
-                for est, reason in part_skips.items():
-                    skips[(order, n, est)] = reason
+            for order, part in zip(cfg.hermite_orders, group):
                 done += 1
+                if isinstance(part, str):
+                    failures.setdefault((order, n), part)
+                    cells[(order, n)][2].clear()  # its estimators make no stats or blocks
+                elif (order, n) not in failures:
+                    sums, trials, contracts = cells[(order, n)]
+                    for est, (block_sums, block_trials, evals, cached) in part[0].items():
+                        if contracts.setdefault(est, (evals, cached)) != (evals, cached):
+                            raise ValueError("merging stats with different evaluation contracts")
+                        sums[row[est], i % per_cell] = block_sums
+                        trials[row[est], i % per_cell] = block_trials
+                    for est, reason in part[1].items():
+                        skips[(order, n, est)] = reason
                 if progress:
                     progress(done, n_blocks)
 
     stats, blocks = {}, {}
+    skips = {key: reason for key, reason in skips.items() if key[:2] not in failures}
     for (order, n), (sums, trials, contracts) in cells.items():
         # from -0.0, the sums are the blocks' sequential adds bit for bit
         totals, counts = sums.sum(axis=1, initial=-0.0), trials.sum(axis=1).tolist()
@@ -450,7 +463,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
             for l, lam in enumerate(cfg.lambda_grid):
                 stats[(est, order, n, lam)] = ErrorStats(totals[e, 0, l], totals[e, 1, l],
                                                          counts[e], evals, cached)
-    return BenchResult(stats=stats, skips=skips, blocks=blocks,
+    return BenchResult(stats=stats, skips=skips, failures=failures, blocks=blocks,
                        lambda_grid=tuple(cfg.lambda_grid), elapsed=time.perf_counter() - t0)
 
 

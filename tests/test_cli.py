@@ -166,6 +166,15 @@ class TestBench:
         rc, _, err = run(capsys, "bench", "--config", p, "--out", tmp_path / "o")
         assert rc == 2
 
+    @pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"],
+                             ids=["nested-100000-deep", "utf16-bom"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, content):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(content)
+        rc, _, err = run(capsys, "bench", "--config", p, "--out", tmp_path / "o")
+        assert rc == 2
+        assert "invalid benchmark configuration: " in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc, _, err = run(capsys, "bench", "--config", tmp_path / "nope.json",
                          "--out", tmp_path / "o")
@@ -202,16 +211,16 @@ class TestBench:
         assert set(keys) == {(r.estimator, r.order, r.n) for r in rows}
 
     def test_partial_failure_keeps_good_cells(self, tmp_path, capsys, monkeypatch):
-        import ensgrad.cli as cli_mod
+        import ensgrad.harness as harness_mod
 
-        real = cli_mod.run_bench
+        real = harness_mod._run_block
 
-        def flaky(cfg, workers=1, **kwargs):
-            if cfg.hermite_orders == (1,):
+        def flaky(cfg, order, subs):
+            if order == 1:
                 raise RuntimeError("synthetic cell failure")
-            return real(cfg, workers=workers, **kwargs)
+            return real(cfg, order, subs)
 
-        monkeypatch.setattr(cli_mod, "run_bench", flaky)
+        monkeypatch.setattr(harness_mod, "_run_block", flaky)
         cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 1]))
         out = tmp_path / "out"
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
@@ -229,15 +238,17 @@ class TestBench:
         real, got = cli_mod.run_bench, []
 
         def bench(cfg, workers=1, **kwargs):
-            got.append(kwargs["blocks_per_cell"])
+            got.append((kwargs["blocks_per_cell"], cfg.hermite_orders, cfg.ensemble_sizes))
             return real(cfg, workers=workers, **kwargs)
 
         monkeypatch.setattr(cli_mod, "run_bench", bench)
-        cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 2]))
+        cfg = write_cfg(tmp_path / "cfg.json",
+                        dict(BENCH_CFG, hermite_orders=[0, 2], ensemble_sizes=[6, 7]))
         rc, _, _ = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "out",
                        "--trials", trials)
         assert rc == 0
-        assert got == [blocks, blocks]
+        # one call per N, running every order
+        assert got == [(blocks, (0, 2), (6,)), (blocks, (0, 2), (7,))]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
@@ -257,20 +268,52 @@ class TestBench:
         for name in ("results.csv", "best_lambda.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def _two_cells_on_pools(self, tmp_path, capsys, monkeypatch, fail_block):
-        """Order 0, then order 3, with two workers; `fail_block` stands in
-        for the blocks of order 0. Returns (rc, stderr, out dir, the pools
-        made, the `workers` each cell's run_bench got)."""
+    def test_single_block_cells_start_no_pool(self, tmp_path, capsys, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        class NoPool(harness_mod.ProcessPoolExecutor):
+            def __init__(self, *a, **kw):
+                raise AssertionError("a pool started for one-block cells")
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", NoPool)
+        rc, _, err = run(capsys, "bench", "--trials", 25, "--workers", 2, "--out", tmp_path / "o")
+        assert rc == 0
+        cfg = BenchConfig()
+        cells = [(order, n) for n in cfg.ensemble_sizes for order in cfg.hermite_orders]
+        assert err.splitlines() == [f"[{i}/33] order={order} N={n} done"
+                                    for i, (order, n) in enumerate(cells, start=1)]
+
+    def test_cell_line_prints_before_the_next_cell_runs(self, tmp_path, capsys, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        real, seen = harness_mod._run_block, []
+
+        def block(cfg, order, subs):
+            seen.append(capsys.readouterr().err.count(" done\n"))  # lines since the last cell
+            return real(cfg, order, subs)
+
+        monkeypatch.setattr(harness_mod, "_run_block", block)
+        cfg = write_cfg(tmp_path / "cfg.json",
+                        dict(BENCH_CFG, hermite_orders=[0, 2, 3], ensemble_sizes=[5, 6]))
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 0
+        assert seen == [0, 1, 1, 1, 1, 1]
+        assert err == "[6/6] order=3 N=6 done\n"
+
+    def _two_sizes_on_pools(self, tmp_path, capsys, monkeypatch, name, hook):
+        """Orders 0 and 3 at N=6, then at N=7, with two workers and two
+        blocks a cell; `hook` runs on the arguments of every call of
+        harness's `name` first. Returns (rc, stderr, out dir, the pools made,
+        the `workers` each run_bench call got)."""
         import ensgrad.cli as cli_mod
         import ensgrad.harness as harness_mod
 
-        real_block, real_bench = harness_mod._run_block, cli_mod.run_bench
+        real, real_bench = getattr(harness_mod, name), cli_mod.run_bench
         pools, calls = [], []
 
-        def block(cfg, order, subs):
-            if order == 0:
-                fail_block()
-            return real_block(cfg, order, subs)
+        def patched(*args):
+            hook(*args)
+            return real(*args)
 
         class Pool(harness_mod.ProcessPoolExecutor):
             def __init__(self, *a, **kw):
@@ -281,41 +324,50 @@ class TestBench:
             calls.append(workers)
             return real_bench(cfg, workers=workers, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "_run_block", block)  # forked workers inherit it
+        monkeypatch.setattr(harness_mod, name, patched)  # forked workers inherit it
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli_mod, "run_bench", bench)
-        cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 3]))
+        cfg = write_cfg(tmp_path / "cfg.json",
+                        dict(BENCH_CFG, hermite_orders=[0, 3], ensemble_sizes=[6, 7]))
         out = tmp_path / "out"
-        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out, "--workers", 2)
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out, "--workers", 2,
+                         "--trials", 201)
         return rc, err, out, pools, calls
 
-    def assert_later_cell_kept(self, out):
+    @staticmethod
+    def assert_partial(out, kept):
         rows = read_results_csv(out / "results.csv")
-        assert rows and all(r.order == 3 for r in rows)
+        assert {(r.order, r.n) for r in rows} == kept
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
 
     def test_failing_cell_under_two_workers(self, tmp_path, capsys, monkeypatch):
-        def fail():
-            raise RuntimeError("synthetic block failure")
+        def fail(cfg, order, subs):
+            if order == 0:
+                raise RuntimeError("synthetic block failure")
 
-        rc, err, out, pools, calls = self._two_cells_on_pools(tmp_path, capsys, monkeypatch, fail)
+        rc, err, out, pools, calls = self._two_sizes_on_pools(tmp_path, capsys, monkeypatch,
+                                                              "_run_block", fail)
         assert rc == 1
         assert "order=0 N=6: RuntimeError: synthetic block failure" in err
-        self.assert_later_cell_kept(out)
+        assert "order=0 N=7: RuntimeError: synthetic block failure" in err
+        self.assert_partial(out, {(3, 6), (3, 7)})
         assert len(pools) == 1 and calls == [pools[0], pools[0]]
 
     def test_dead_worker_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
 
-        def die():
-            if os.getpid() != parent:
+        def die(cfg, n, lo, hi):
+            if n == 6 and os.getpid() != parent:
                 os._exit(1)
 
-        rc, err, out, pools, calls = self._two_cells_on_pools(tmp_path, capsys, monkeypatch, die)
+        rc, err, out, pools, calls = self._two_sizes_on_pools(tmp_path, capsys, monkeypatch,
+                                                              "_sub_batches", die)
         assert rc == 1
+        # the dead worker's task ran both orders at N=6; N=7 runs on a new pool
         assert "order=0 N=6: BrokenProcessPool" in err
-        self.assert_later_cell_kept(out)
+        assert "order=3 N=6: BrokenProcessPool" in err
+        self.assert_partial(out, {(0, 7), (3, 7)})
         assert len(pools) == 2 and calls == pools
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -334,6 +386,21 @@ class TestBench:
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
         assert any("order=6 N=5" in note and "non-finite" in note for note in man["notes"])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_failure_lines_in_configured_cell_order(self, tmp_path, capsys):
+        # progress goes N by N, but failures list the orders, then the sizes, as configured
+        cfg = write_cfg(tmp_path / "cfg.json", {
+            "n_trials": 2, "hermite_orders": [6, 5], "ensemble_sizes": [5, 3],
+            "lambda_grid": [0.0], "x_mean": [1e80] * 5})
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "out")
+        assert rc == 1
+        lines = err.splitlines()
+        assert [line.split(" done")[0] for line in lines[:4]] == [
+            "[1/4] order=6 N=5", "[2/4] order=5 N=5", "[3/4] order=6 N=3", "[4/4] order=5 N=3"]
+        assert [line.split(":")[0] for line in lines[4:]] == [
+            "order=6 N=5", "order=6 N=3", "order=5 N=5", "order=5 N=3"]
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,26 @@ class TestOrdersShareDraws:
             res = run_bench(SHARED, workers=workers, blocks_per_cell=2)
         self.assert_same_as_one_order_runs(res, one_order_runs)
 
+    def test_failing_order_fails_alone(self, one_order_runs, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        real, calls = harness_mod._run_block, []
+
+        def flaky(cfg, order, subs):
+            calls.append(order)
+            if order == 3 and calls.count(3) > 1:  # its first block runs, the rest fail
+                raise RuntimeError("synthetic order failure")
+            return real(cfg, order, subs)
+
+        monkeypatch.setattr(harness_mod, "_run_block", flaky)
+        res = run_bench(SHARED, blocks_per_cell=2)
+        assert res.failures == {(3, n): "RuntimeError: synthetic order failure"
+                                for n in SHARED.ensemble_sizes}
+        assert not [key for key in (*res.stats, *res.blocks) if key[1] == 3]
+        assert not [key for key in res.skips if key[0] == 3]
+        self.assert_same_as_one_order_runs(
+            res, {order: one for order, one in one_order_runs.items() if order != 3})
+
     def test_draws_and_factorisations_once_per_sub_batch(self, monkeypatch):
         import ensgrad.estimators as estimators_mod
         import ensgrad.harness as harness_mod

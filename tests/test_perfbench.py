@@ -43,7 +43,8 @@ def test_traced_run_reads_the_package(tmp_path):
     try:
         res = harness.run_bench(CFG, workers=1, blocks_per_cell=2)
         rows = harness.aggregate(res.stats)
-        assert cli.main(["bench", "--config", str(config), "--workers", "2",
+        # 201 trials make two blocks a cell, so the CLI starts its pool
+        assert cli.main(["bench", "--config", str(config), "--workers", "2", "--trials", "201",
                          "--out", str(tmp_path / "out")]) == 0
         metrics = tracer_mod.layer_metrics(tracer)
     finally:
@@ -53,8 +54,8 @@ def test_traced_run_reads_the_package(tmp_path):
     assert checks.stats_sha256(res.stats) == untraced
     keys = checks.expected_keys(CFG.hermite_orders, CFG.ensemble_sizes, CFG.lambda_grid)
     assert checks.check_rows([checks.as_row(r) for r in rows], keys, CFG.n_trials) == 0
-    # 2 blocks from the direct call, 1 from the CLI's one cell of 4 trials
-    assert metrics["harness.blocks"] == 3
+    # 2 blocks from the direct call, 2 from the CLI's one cell of 201 trials
+    assert metrics["harness.blocks"] == 4
     assert metrics["cli.run_bench_calls"] == 1
     assert metrics["cli.pools"] == 1
     assert metrics["objectives.hermite_calls"] > 0
