@@ -50,7 +50,8 @@ from .objectives import (
     rastrigin_blurred,
     rastrigin_eval,
 )
-from .sampling import Ensemble, GaussianSpec, child_seed, recenter, rng_from, write_rows_csv
+from .sampling import (Ensemble, GaussianSpec, child_normals, child_seed, recenter, rng_from,
+                       write_rows_csv)
 
 RESULTS_HEADER = ("estimator", "order", "N", "lambda", "rmse", "bias", "evals", "trials")
 TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred")
@@ -246,15 +247,14 @@ def _draw_trials(cfg, n, lo, hi):
     """The Ensembles of trials [lo, hi), stacked on a leading axis: x-members
     (T, d, M), recentred controls (T, d, N) and, if an estimator subsamples,
     the pooled controls (T, d, 2M), else None. Each trial draws its raw normals
-    from its own child stream, in that order; the specs' factors and the
-    recentring apply to the whole stack at once."""
+    from its own child stream, in that order (`child_normals` keys the whole
+    range at once); the specs' factors and the recentring apply to the whole
+    stack at once."""
     x_spec, u_spec = cfg.x_spec(), cfg.u_spec()
     need_vw = any(e in SUBSAMPLED_IDS for e in cfg.estimators)
     d, m, k = cfg.dims, cfg.m_members or n, hi - lo
     widths = (m, n, 2 * m) if need_vw else (m, n)
-    z = np.empty((k, d * sum(widths)))
-    for i in range(k):
-        rng_from(child_seed(cfg.base_seed, lo + i)).standard_normal(out=z[i])
+    z = child_normals(cfg.base_seed, lo, hi, d * sum(widths))
     parts = np.split(z, d * np.cumsum(widths[:-1]), axis=1)
     lx, lu = x_spec.factor(), u_spec.factor()
     x = Ensemble(x_spec.mean[:, None] + lx @ parts[0].reshape(k, d, m), x_spec.mean)
@@ -393,8 +393,8 @@ def _run_task(args):
 
 
 def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
-    """Run the full benchmark grid. `workers` is a process count, or an
-    open `Executor` to run the blocks on, which is left open. Each (order,
+    """Run the full benchmark grid. `workers` is a positive process count,
+    or an open `Executor` to run the blocks on, which is left open. Each (order,
     N) cell's trials split evenly into `blocks_per_cell` blocks. The blocks
     of all orders at one N and trial range are one task: every order's
     trial t reads the same child stream, so the task draws the ensembles
@@ -414,6 +414,8 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     cfg.validate()
     if not _ints(1)(blocks_per_cell):
         raise ConfigError(f"blocks_per_cell: expected positive int, got {blocks_per_cell!r}")
+    if not (isinstance(workers, Executor) or _ints(1)(workers)):
+        raise ConfigError(f"workers: expected an Executor or positive int, got {workers!r}")
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
     n_blocks = len(tasks) * len(cfg.hermite_orders)
@@ -429,7 +431,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     with contextlib.ExitStack() as stack:
         if isinstance(workers, Executor):
             parts = workers.map(_run_task, args)
-        elif workers and workers > 1:
+        elif workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             parts = pool.map(_run_task, args)
         else:
@@ -555,8 +557,10 @@ def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5,
     blocks with replacement."""
     if metric not in ("rmse", "bias"):
         raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
-    rng = rng_from(child_seed(seed, 0))
     c = len(ns)
+    if c == 0:
+        raise ValueError("no blocks to resample")
+    rng = rng_from(child_seed(seed, 0))
     idx = rng.integers(0, c, size=(n_boot, c))
     n_tot = ns[idx].sum(axis=1)[:, None]
     if metric == "rmse":

@@ -3,7 +3,12 @@ decorrelation, on one ensemble or a stack of them.
 
 Draws are Gaussian, one member per column. All randomness goes through
 counter-based Philox streams keyed by `(base_seed, *spawn_key)`, so a trial's
-draws replay identically regardless of scheduling or worker count.
+draws replay identically regardless of scheduling or worker count. Trial t's
+stream is the Philox whose key is `child_seed(base_seed, t).generate_state(2,
+np.uint64)`, at counter 0. The harness draws a whole sub-batch of trials
+through `child_normals`: `child_keys` hashes every trial's key in one array
+pass of numpy's SeedSequence algorithm, and one generator is re-keyed per
+trial, so no trial builds its own SeedSequence or Generator.
 """
 
 import csv
@@ -103,6 +108,105 @@ def rng_from(seed):
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
+
+
+# numpy's SeedSequence hash on uint32 words (NEP 19 keeps it stable). Each
+# hashmix advances its hash constant whatever word it hashes, so the constants
+# of a run of hashmixes are known before the words are.
+_MASK32, _POOL = 0xFFFFFFFF, 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n):
+    """The little-endian uint32 words of a non-negative int, [0] for 0."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(v, h, mult=_MULT_A):
+    """numpy's hashmix of `v` under the hash constant `h`, and the next
+    constant. Python ints, or uint32 arrays, which wrap as uint32 does."""
+    g = h * mult & _MASK32
+    v = (v ^ h) * g & _MASK32
+    return v ^ v >> 16, g
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _column(h, mult=_MULT_A):
+    """The constants of `_POOL` successive hashmixes from `h`, as a
+    (_POOL, 1) uint32 column, and the constant after them."""
+    col = []
+    for _ in range(_POOL):
+        col.append(h)
+        h = h * mult & _MASK32
+    return np.array(col, np.uint32)[:, None], h
+
+
+def _absorb(pool, h, word):
+    """numpy's mixing of one more entropy word into every pool entry, on a
+    (_POOL, 1) or (_POOL, T) uint32 pool: `word` is an int or one per trial."""
+    col, h = _column(h)
+    return _mix(pool, _hashmix(word, col)[0]), h
+
+
+def child_keys(base_seed, lo, hi):
+    """The (hi - lo, 2) uint64 Philox keys of trials [lo, hi): row t - lo is
+    `child_seed(base_seed, t).generate_state(2, np.uint64)`. The pool after
+    the base seed's words is the same for every trial, so it is hashed once;
+    the spawn words and the state words are hashed as arrays over trials,
+    one group per spawn-word count."""
+    if base_seed < 0 or lo < 0:
+        raise ValueError(f"expected non-negative seed and trials, got {base_seed}, {lo}")
+    words = _words(int(base_seed))
+    words += [0] * (_POOL - len(words))  # a spawned sequence pads its entropy to the pool
+    pool, h = [], _INIT_A
+    for w in words[:_POOL]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for s in range(_POOL):
+        for d in range(_POOL):
+            if s != d:
+                v, h = _hashmix(pool[s], h)
+                pool[d] = _mix(pool[d], v)
+    pool = np.array(pool, np.uint32)[:, None]
+    for w in words[_POOL:]:
+        pool, h = _absorb(pool, h, w)
+    keys = np.empty((hi - lo, 2), np.uint64)
+    start = lo
+    while start < hi:
+        n_words = len(_words(start))
+        stop = min(hi, 1 << 32 * n_words)
+        t = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+        p, g = pool, h
+        for j in range(n_words):
+            p, g = _absorb(p, g, (t >> 32 * j & _MASK32).astype(np.uint32))
+        state = _hashmix(p, _column(_INIT_B, _MULT_B)[0], _MULT_B)[0].astype(np.uint64)
+        keys[start - lo:stop - lo] = (state[0::2] | state[1::2] << 32).T
+        start = stop
+    return keys
+
+
+def child_normals(base_seed, lo, hi, width):
+    """(hi - lo, width) standard normals: row t - lo is, bit for bit,
+    `rng_from(child_seed(base_seed, t)).standard_normal(width)`. One Philox,
+    local to the call, is re-keyed for each trial (counter 0, empty
+    buffer) from `child_keys`."""
+    z = np.empty((hi - lo, width))
+    bitgen = np.random.Philox(0)  # a placeholder key: every row re-keys it
+    gen = np.random.Generator(bitgen)
+    inner = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(z, child_keys(base_seed, lo, hi).tolist()):
+        inner["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return z
 
 
 def draw_ensemble(spec, n, seed):

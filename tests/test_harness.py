@@ -372,6 +372,11 @@ class TestRunBench:
         with pytest.raises(ConfigError, match="blocks_per_cell"):
             run_bench(SMALL, blocks_per_cell=blocks)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, None, "2"])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_bench(SMALL, workers=workers)
+
 
 SHARED = BenchConfig(base_seed=515, n_trials=24, dims=5, hermite_orders=(0, 2, 3, 5),
                      ensemble_sizes=(6, 200), lambda_grid=(0.0, 1e-2))
@@ -534,6 +539,10 @@ class TestBootstrap:
         arrays = (np.zeros((2, 3)), np.ones((2, 3)), np.array([4, 4]))
         with pytest.raises(ValueError, match="metric"):
             bootstrap_band(*arrays, metric="mse")
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="no blocks to resample"):
+            bootstrap_band(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
     def test_band_deterministic_in_seed(self):
         res = run_bench(SMALL, blocks_per_cell=8)

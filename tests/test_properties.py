@@ -33,6 +33,7 @@ from ensgrad.objectives import bilinear_grad, bilinear_objective, hermite_object
 from ensgrad.sampling import (
     Ensemble,
     GaussianSpec,
+    child_keys,
     child_seed,
     decorrelate,
     draw_ensemble,
@@ -338,10 +339,26 @@ def decorrelate_with_vector_dots(members, mu, psi):
     return mu[:, None] + a1 * np.where(keep, 1.0, s0 / np.where(s1 > 0, s1, 1.0))[:, None]
 
 
+# base seeds of one to five uint32 words, and trial ranges at the start and
+# across 2^32, where a trial's spawn key grows a second word
+wide_seeds = st.integers(min_value=0, max_value=2**130)
+trial_starts = st.one_of(st.integers(0, 100), st.integers(2**32 - 6, 2**32 + 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=wide_seeds, lo=trial_starts, k=st.integers(1, 12))
+@example(seed=2**130, lo=2**32 - 3, k=6)
+def test_child_keys_equal_seed_sequence_state(seed, lo, k):
+    want = [child_seed(seed, t).generate_state(2, np.uint64) for t in range(lo, lo + k)]
+    got = child_keys(seed, lo, lo + k)
+    assert got.dtype == np.uint64 and np.array_equal(got, np.array(want))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=seeds, dims=st.integers(1, 6), n=st.integers(2, 30),
-       m=st.one_of(st.none(), st.integers(2, 30)), lo=st.integers(0, 100), k=st.integers(1, 6),
+@given(seed=wide_seeds, dims=st.integers(1, 6), n=st.integers(2, 30),
+       m=st.one_of(st.none(), st.integers(2, 30)), lo=trial_starts, k=st.integers(1, 6),
        need_vw=st.booleans(), u_cov=st.sampled_from((0.01, (0.04, 0.01, 0.09, 0.01, 0.02, 0.03))))
+@example(seed=2**130, dims=5, n=4, m=None, lo=2**32 - 3, k=6, need_vw=True, u_cov=0.01)
 def test_stacked_draws_equal_one_draw_per_trial(seed, dims, n, m, lo, k, need_vw, u_cov):
     cfg = BenchConfig(base_seed=seed, dims=dims, m_members=m,
                       u_cov=u_cov if np.isscalar(u_cov) else np.array(u_cov[:dims]),
@@ -356,8 +373,9 @@ def test_stacked_draws_equal_one_draw_per_trial(seed, dims, n, m, lo, k, need_vw
         assert np.array_equal(part.members, np.concatenate([r[i].members for r in rows]))
     # each trial's x-members come first in its own child stream
     x_spec = cfg.x_spec()
-    z = rng_from(child_seed(seed, lo)).standard_normal((dims, m or n))
-    assert np.array_equal(got[0].members[0], x_spec.mean[:, None] + x_spec.factor() @ z)
+    for i in range(k):
+        z = rng_from(child_seed(seed, lo + i)).standard_normal((dims, m or n))
+        assert np.array_equal(got[0].members[i], x_spec.mean[:, None] + x_spec.factor() @ z)
 
 
 # ---------------------------------------------------------------------------
