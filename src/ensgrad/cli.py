@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -38,10 +37,9 @@ from .harness import (
     ConfigError,
     DescentConfig,
     TRAJECTORY_HEADER,
-    aggregate,
+    cell_tables,
     run_bench,
     run_rastrigin_demo,
-    select_best_lambda,
     trajectory_rows,
     write_results_csv,
 )
@@ -125,7 +123,7 @@ def _cmd_bench(args):
     # starts only for more blocks: one per command, renewed after a worker dies
     orders, sizes = cfg.hermite_orders, cfg.ensemble_sizes
     blocks_per_cell = math.ceil(cfg.n_trials / BLOCK_TRIALS)
-    rows, skips, failed, printed, pool = [], {}, {}, [], None
+    cells, skips, failed, printed, pool = {}, {}, {}, [], None
 
     def cell_done(order, n):
         printed.append((order, n))
@@ -143,7 +141,7 @@ def _cmd_bench(args):
             try:
                 res = run_bench(replace(cfg, ensemble_sizes=(n,)), workers=pool or 1,
                                 blocks_per_cell=blocks_per_cell, progress=progress)
-                rows.extend(aggregate(res.stats))
+                cells.update(res.cells)
                 skips.update(res.skips)
                 failed.update(res.failures)
             except Exception as e:  # keep going; a dead worker ran all of this N's orders
@@ -161,17 +159,19 @@ def _cmd_bench(args):
     def in_cell_order(items):  # keys (order, N, ...): the configured orders, then sizes
         return sorted(items, key=lambda kv: (orders.index(kv[0][0]), sizes.index(kv[0][1]), kv[0]))
 
-    rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
-    finite = [math.isfinite(r.rmse) and math.isfinite(r.bias) for r in rows]
-    per_cell = Counter((r.order, r.n) for r in rows)
-    for cell, k in Counter((r.order, r.n) for r, ok in zip(rows, finite) if not ok).items():
-        failed[cell] = f"{k} of {per_cell[cell]} rows have a non-finite rmse or bias; left out"
-    rows = [r for r, ok in zip(rows, finite) if ok]
+    rows, best = [], []
+    for order, n in sorted(cells):  # the rows' order: cells by (order, N)
+        cell_rows, cell_best, bad = cell_tables(order, n, cells[(order, n)], cfg.lambda_grid)
+        rows += cell_rows
+        best += cell_best
+        if bad:
+            failed[(order, n)] = (f"{bad} of {len(cell_rows) + bad} rows have a non-finite rmse "
+                                  "or bias; left out")
     notes = [f"skipped {est} at order={order} N={n}: {reason}"
              for (order, n, est), reason in in_cell_order(skips.items())]
     failures = [f"order={order} N={n}: {why}" for (order, n), why in in_cell_order(failed.items())]
     write_results_csv(os.path.join(args.out, "results.csv"), rows)
-    write_results_csv(os.path.join(args.out, "best_lambda.csv"), select_best_lambda(rows))
+    write_results_csv(os.path.join(args.out, "best_lambda.csv"), best)
     outputs = ["results.csv", "best_lambda.csv"]
     if failures:
         notes.append("PARTIAL RESULTS: some grid cells failed")

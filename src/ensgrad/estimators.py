@@ -187,6 +187,15 @@ class Batch:
 
         return self.once(("damped", name, lambdas), compute, shared=True)
 
+    def damped_apply(self, key, row, name, matrix, lambdas):
+        """`linalg.damped_apply` of `row` to `damped(name, matrix,
+        lambdas)`. The row's projection, which no lambda changes, is kept
+        in the memo next to the row, which is kept there under `key`, so
+        the calls of a lambda sweep compute it once."""
+        u, coeffs, vt = self.damped(name, matrix, lambdas)
+        projected = self.once(("projected", key, name), lambda: vt @ row[..., None])
+        return damped_apply(row, (u, coeffs, vt), projected)
+
     def group_rows(self, nm):
         """Each x-member's values on its own subsample of `nm` consecutive
         controls, (..., M, nm)."""
@@ -223,34 +232,34 @@ def _each_lambda(grad, lambdas):
     return np.repeat(grad[None], len(lambdas), axis=0)
 
 
-def _regress(row, b, spec, lambdas):
+def _regress(key, row, b, spec, lambdas):
     """`row @ Ut^+` (damped) at every lambda, or `row @ Ut^T/(N-1)` in
-    preconditioned form."""
+    preconditioned form; `key` is the row's own in `b`'s memo."""
     if spec.precondition:
         return _each_lambda(sample_cross_cov(row, b.U.anomalies), lambdas)
-    return damped_apply(row, b.damped("U", lambda: b.U.anomalies, lambdas))
+    return b.damped_apply(key, row, "U", lambda: b.U.anomalies, lambdas)
 
 
 def _plain_lls(b, spec, lambdas):
     row = b.once("table", lambda: b.obj.table(b.X.members, b.U.members))
-    return _regress(row, b, spec, lambdas), b.X.n * b.U.n, 0
+    return _regress("table", row, b, spec, lambdas), b.X.n * b.U.n, 0
 
 
 def _fragile(b, spec, lambdas):
     row = b.once("fragile", lambda: b.obj.pairs(b.X.members.mean(axis=-1, keepdims=True),
                                                  b.U.members))
-    return _regress(row, b, spec, lambdas), b.U.n, 0
+    return _regress("fragile", row, b, spec, lambdas), b.U.n, 0
 
 
 def _paired(b, spec, lambdas):
     _require_paired(b, "paired")
-    return _regress(b.values(), b, spec, lambdas), b.U.n, 0
+    return _regress("values", b.values(), b, spec, lambdas), b.U.n, 0
 
 
 def _stosag(b, spec, lambdas):
     _require_paired_recentred(b, "stosag")
     row = b.once("stosag", lambda: b.values() - b.baseline())
-    return _regress(row, b, spec, lambdas), b.U.n, b.X.n
+    return _regress("stosag", row, b, spec, lambdas), b.U.n, b.X.n
 
 
 def _one_sided(b, spec, lambdas):
@@ -258,13 +267,13 @@ def _one_sided(b, spec, lambdas):
     linear extrapolation 2*loss(X, mu) - loss(X, U); collapses to stosag."""
     _require_paired_recentred(b, "one_sided")
     row = b.once("one_sided", lambda: 0.5 * (b.values() - (2.0 * b.baseline() - b.values())))
-    return _regress(row, b, spec, lambdas), b.U.n, b.X.n
+    return _regress("one_sided", row, b, spec, lambdas), b.U.n, b.X.n
 
 
 def _mirrored2s(b, spec, lambdas):
     _require_paired_recentred(b, "mirrored2s")
     row = b.once("mirrored2s", lambda: 0.5 * (b.values() - b.obj.pairs(b.X.members, mirror(b.U))))
-    return _regress(row, b, spec, lambdas), 2 * b.U.n, 0
+    return _regress("mirrored2s", row, b, spec, lambdas), 2 * b.U.n, 0
 
 
 def _decorr(b, spec, lambdas):
@@ -278,7 +287,7 @@ def _decorr(b, spec, lambdas):
     # the decorrelated controls depend on the objective, so their SVD goes
     # into the inner Batch's own memo, never into `b`'s shared one
     dec = Batch(b.obj, b.X, *b.once("decorr", compute))
-    return _regress(dec.values(), dec, spec, lambdas), b.U.n, b.X.n
+    return _regress("values", dec.values(), dec, spec, lambdas), b.U.n, b.X.n
 
 
 def _two_sided(b, spec, lambdas):
@@ -300,7 +309,7 @@ def _two_sided(b, spec, lambdas):
     if spec.precondition:
         grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
     else:
-        grad = damped_apply(row, b.damped("diff", lambda: diff, lambdas))
+        grad = b.damped_apply("two_sided", row, "diff", lambda: diff, lambdas)
     return grad, 2 * b.X.n, 0
 
 
@@ -319,7 +328,8 @@ def _average_lls(b, spec, lambdas):
     if spec.precondition:
         return _each_lambda(sample_cross_cov(rows, anoms).mean(axis=-2), lambdas), b.U.n, 0
     if spec.subsample_size > 2:
-        grad = damped_apply(rows, b.damped("groups", lambda: anoms, lambdas))
+        grad = b.damped_apply(("rows", spec.subsample_size), rows, "groups", lambda: anoms,
+                              lambdas)
         return grad.mean(axis=-2), b.U.n, 0
 
     def rank1():
@@ -358,7 +368,9 @@ def _gen_stosag(b, spec, lambdas):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
     if spec.precondition:
         return _each_lambda(c_mean, lambdas), b.U.n, 0
-    return damped_apply(c_mean, b.damped("cov_mean", lambda: cov_mean, lambdas)), b.U.n, 0
+    grad = b.damped_apply(("moments", spec.subsample_size), c_mean, "cov_mean",
+                          lambda: cov_mean, lambdas)
+    return grad, b.U.n, 0
 
 
 def _hybrid(b, spec, lambdas):
@@ -373,7 +385,9 @@ def _hybrid(b, spec, lambdas):
         pooled = b.U.anomalies
         return pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
 
-    return damped_apply(c_mean, b.damped("cov_pool", cov_pool, lambdas)), b.U.n, 0
+    grad = b.damped_apply(("moments", spec.subsample_size), c_mean, "cov_pool", cov_pool,
+                          lambdas)
+    return grad, b.U.n, 0
 
 
 def _avg_grad(b, spec, lambdas):

@@ -11,8 +11,10 @@ drawn once for all orders, and per order each estimator makes one
 `estimate_batch` call over the whole lambda grid, sharing the sub-batch's
 evaluations and the controls' SVDs through `Batch`. Every block's error
 moments are kept per cell for the bootstrap bands (`block_arrays`), and
-`aggregate` turns their sums into RMSE/bias rows in one array pass. The CLI
-sizes its blocks in trials, at most `BLOCK_TRIALS` each.
+their totals per cell (`CellTotals`); `cell_tables` turns a cell's totals
+into its RMSE/bias rows in one array pass, and `aggregate` does the same
+for per-key `ErrorStats`. The CLI sizes its blocks in trials, at most
+`BLOCK_TRIALS` each.
 `run_trial` is the plain composition of per-call `estimate()`s on the same
 draws, one trial and one lambda at a time, which the tests pin the blocks
 against. The truth is in closed form (`objectives.hermite_expected_grad`).
@@ -22,12 +24,15 @@ Rastrigin surface and the control-variate variance-reduction law check.
 """
 
 import contextlib
+import csv
+import io
 import math
 import numbers
 import sys
 from collections import namedtuple
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +55,7 @@ from .objectives import (
     rastrigin_blurred,
     rastrigin_eval,
 )
-from .sampling import (Ensemble, GaussianSpec, child_normals, child_seed, recenter, rng_from,
-                       write_rows_csv)
+from .sampling import Ensemble, GaussianSpec, child_normals, child_seed, recenter, rng_from
 
 RESULTS_HEADER = ("estimator", "order", "N", "lambda", "rmse", "bias", "evals", "trials")
 TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred")
@@ -371,14 +375,33 @@ def _run_group(cfg, n, lo, hi):
 # Bench driver.
 
 
+# One (order, N) cell's totals over its trials, for the estimators that ran,
+# in ESTIMATOR_IDS order: error moment sums (E, 2, L, d), trial counts (E,)
+# and (evals, cached) pairs.
+CellTotals = namedtuple("CellTotals", "estimators sums trials contracts")
+
+
 @dataclass
 class BenchResult:
-    stats: dict  # (est, order, N, lam) -> ErrorStats
+    cells: dict  # (order, N) -> CellTotals
     skips: dict  # (order, N, est) -> reason
     failures: dict = field(default_factory=dict)  # (order, N) -> "Type: message"
     blocks: dict = field(default_factory=dict)  # (est, order, N) -> (sums, trials)
-    lambda_grid: tuple = ()  # the lambdas indexing the blocks' sums
+    lambda_grid: tuple = ()  # the lambdas indexing the sums
     elapsed: float = 0.0
+
+    @cached_property
+    def stats(self):
+        """(est, order, N, lam) -> ErrorStats, built on first access: views
+        into the cells' sums."""
+        stats = {}
+        for (order, n), cell in self.cells.items():
+            for e, (est, t, (evals, cached)) in enumerate(
+                    zip(cell.estimators, cell.trials.tolist(), cell.contracts)):
+                for l, lam in enumerate(self.lambda_grid):
+                    stats[(est, order, n, lam)] = ErrorStats(cell.sums[e, 0, l], cell.sums[e, 1, l],
+                                                             t, evals, cached)
+        return stats
 
 
 def _bench_tasks(cfg, blocks_per_cell):
@@ -402,11 +425,12 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     on them. `blocks[(est, order, N)]` keeps each block's moments in trial
     order: a (B, 2, L, d) stack, 80 bytes per block and key at d = 5 (17 MB
     on the full default grid), and (B,) trial counts, 0 where a block
-    skipped est. The stats are views into the stacks' sums, the same for
-    any `workers`; another split can move the last bits once a block spans
-    several sub-batches. An order that raises fails its (order, N) cell
-    alone: `failures[(order, N)]` holds the first `"Type: message"`, and
-    the cell keeps no stats, blocks or skips. `progress(i, n_blocks)` is
+    skipped est. `cells[(order, N)]` sums the blocks in trial order, the
+    same bits for any `workers` (another split can move the last bits once
+    a block spans several sub-batches), and `stats` are views into those
+    sums. An order that raises fails its (order, N) cell alone:
+    `failures[(order, N)]` holds the first `"Type: message"`, and the cell
+    keeps no estimators, stats, blocks or skips. `progress(i, n_blocks)` is
     called as each (order, N, block) comes back, size-major: for each N and
     trial range, the orders in turn."""
     import time
@@ -454,18 +478,17 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
                 if progress:
                     progress(done, n_blocks)
 
-    stats, blocks = {}, {}
+    totals, blocks = {}, {}
     skips = {key: reason for key, reason in skips.items() if key[:2] not in failures}
     for (order, n), (sums, trials, contracts) in cells.items():
-        # from -0.0, the sums are the blocks' sequential adds bit for bit
-        totals, counts = sums.sum(axis=1, initial=-0.0), trials.sum(axis=1).tolist()
-        for est, (evals, cached) in contracts.items():
-            e = row[est]
+        ran = tuple(est for est in ESTIMATOR_IDS if est in contracts)
+        at = [row[est] for est in ran]
+        for est, e in zip(ran, at):
             blocks[(est, order, n)] = sums[e], trials[e]
-            for l, lam in enumerate(cfg.lambda_grid):
-                stats[(est, order, n, lam)] = ErrorStats(totals[e, 0, l], totals[e, 1, l],
-                                                         counts[e], evals, cached)
-    return BenchResult(stats=stats, skips=skips, failures=failures, blocks=blocks,
+        # from -0.0, the sums are the blocks' sequential adds bit for bit
+        totals[(order, n)] = CellTotals(ran, sums.sum(axis=1, initial=-0.0)[at],
+                                        trials.sum(axis=1)[at], tuple(map(contracts.get, ran)))
+    return BenchResult(cells=totals, skips=skips, failures=failures, blocks=blocks,
                        lambda_grid=tuple(cfg.lambda_grid), elapsed=time.perf_counter() - t0)
 
 
@@ -484,21 +507,58 @@ class ResultRow:
     evals: int
     trials: int
 
+    def __iter__(self):  # the fields in RESULTS_HEADER order
+        return iter((self.estimator, self.order, self.n, self.lam, self.rmse, self.bias,
+                     self.evals, self.trials))
+
+
+def error_metrics(sum_err, sum_sq, trials):
+    """RMSE and bias, each (...), from error sums and sums of squares
+    (..., d) over `trials`, broadcast to (...): per-dimension moments over
+    trials, then averaged across dimensions (so rmse^2 >= bias^2 holds per
+    dimension)."""
+    n = trials[..., None]
+    return np.sqrt(sum_sq / n).mean(axis=-1), np.abs(sum_err / n).mean(axis=-1)
+
 
 def aggregate(stats):
-    """RMSE/bias rows: per-dimension moments over trials, then averaged
-    across dimensions (so rmse^2 >= bias^2 holds per dimension). Keys with
-    no trials are left out. One array pass over all keys."""
+    """RMSE/bias rows (`error_metrics`), in (order, N, ESTIMATOR_IDS,
+    lambda) order. Keys with no trials are left out; rows with a non-finite
+    rmse or bias are kept as they are. One array pass over all keys."""
     kept = [(key, st) for key, st in stats.items() if st.n != 0]
     if not kept:
         return []
-    trials = np.array([st.n for _, st in kept], dtype=float)[:, None]
-    rmse = np.sqrt(np.stack([st.sum_sq for _, st in kept]) / trials).mean(axis=1)
-    bias = np.abs(np.stack([st.sum_err for _, st in kept]) / trials).mean(axis=1)
+    rmse, bias = error_metrics(np.stack([st.sum_err for _, st in kept]),
+                               np.stack([st.sum_sq for _, st in kept]),
+                               np.array([st.n for _, st in kept]))
     rows = [ResultRow(*key, r, b, st.evals, st.n)
             for (key, st), r, b in zip(kept, rmse.tolist(), bias.tolist())]
     rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
     return rows
+
+
+def cell_tables(order, n, cell, lambda_grid):
+    """One cell's rows of results.csv and of best_lambda.csv, as tuples in
+    `RESULTS_HEADER` order: estimators in `cell`'s (ESTIMATOR_IDS) order,
+    lambdas ascending. Rows with a non-finite rmse or bias are left out of
+    both, and their count is returned third. An estimator's best row has
+    the least rmse of its finite rows, the smallest lambda on a tie; an
+    estimator with no finite row has none."""
+    by_lam = sorted(range(len(lambda_grid)), key=lambda_grid.__getitem__)
+    lams = [float(lambda_grid[l]) for l in by_lam]
+    rmse, bias = (m[:, by_lam] for m in error_metrics(cell.sums[:, 0], cell.sums[:, 1],
+                                                      cell.trials[:, None]))
+    ok = np.isfinite(rmse) & np.isfinite(bias)
+    best_at = np.where(ok, rmse, np.inf).argmin(axis=1).tolist()
+    rows, best = [], []
+    for est, (evals, _), t, rs, bs, oks, j in zip(cell.estimators, cell.contracts,
+                                                  cell.trials.tolist(), rmse.tolist(),
+                                                  bias.tolist(), ok.tolist(), best_at):
+        rows += [(est, order, n, lam, r, b, evals, t)
+                 for lam, r, b, keep in zip(lams, rs, bs, oks) if keep]
+        if oks[j]:
+            best.append((est, order, n, lams[j], rs[j], bs[j], evals, t))
+    return rows, best, ok.size - np.count_nonzero(ok)
 
 
 def select_best_lambda(rows, metric="rmse"):
@@ -516,15 +576,30 @@ def select_best_lambda(rows, metric="rmse"):
     return out
 
 
+class _CsvText(dict):
+    """Text fields as `csv.writer` writes them among other fields, quoted
+    where it must; each distinct text goes through `csv` once."""
+
+    def __missing__(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        self[text] = out = buf.getvalue()[:-len(",\r\n")]
+        return out
+
+
 def write_results_csv(path, rows):
-    """Result rows under `RESULTS_HEADER`; an int lambda writes as a float."""
-    write_rows_csv(path, RESULTS_HEADER, ((r.estimator, r.order, r.n, float(r.lam), r.rmse, r.bias,
-                                           r.evals, r.trials) for r in rows))
+    """Result rows (ResultRows or tuples in `RESULTS_HEADER` order, with
+    Python floats) under `RESULTS_HEADER`, byte for byte as `csv.writer`
+    writes them: a float as its repr, an int lambda as a float, an
+    estimator quoted where it must be."""
+    names = _CsvText()
+    with open(path, "w", newline="") as f:
+        f.write(",".join(RESULTS_HEADER) + "\r\n")
+        f.writelines(f"{names[e]},{order},{n},{float(lam)!r},{rmse!r},{bias!r},{evals},{t}\r\n"
+                     for e, order, n, lam, rmse, bias, evals, t in rows)
 
 
 def read_results_csv(path):
-    import csv
-
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = tuple(next(r))
@@ -545,7 +620,7 @@ def read_results_csv(path):
 def block_arrays(result, estimator, order, n, lam):
     """One table cell's per-block moments, in trial order: (sums, sumsqs,
     ns) of shapes (B, d), (B, d) and (B,), for the blocks that ran it."""
-    if (estimator, order, n, lam) not in result.stats:
+    if (estimator, order, n) not in result.blocks or lam not in result.lambda_grid:
         raise KeyError(f"no blocks for {(estimator, order, n, lam)}")
     sums, ns = result.blocks[(estimator, order, n)]
     ran, l = ns > 0, result.lambda_grid.index(lam)

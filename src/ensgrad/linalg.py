@@ -64,13 +64,16 @@ def tikhonov_pinv(a, cfg=PinvConfig()):
     return (vt.T * damp(s, (cfg.lam,))[0]) @ u.T
 
 
-def damped_apply(row, damped):
+def damped_apply(row, damped, projected=None):
     """`row @ a^+` at every lambda, shape (L, ..., m), for rows (..., k)
     and `damped = (u, damp(s, lambdas), vt)` from `svd(a)`: the rows are
-    projected once, and only the damped singular values differ per
-    lambda."""
+    projected once, `vt @ row[..., None]`, and only the damped singular
+    values differ per lambda. That projection does not depend on lambda,
+    so a caller that keeps it may pass it as `projected`."""
     u, coeffs, vt = damped
-    return (u @ (coeffs[..., None] * (vt @ row[..., None])))[..., 0]
+    if projected is None:
+        projected = vt @ row[..., None]
+    return (u @ (coeffs[..., None] * projected))[..., 0]
 
 
 def sample_cross_cov(values, anomalies):

@@ -276,9 +276,11 @@ def decorrelate(e, psi):
 
 
 def write_rows_csv(path, header, rows):
-    """The one writer of the package's CSV files: the header, then the rows
-    as given. `csv` writes a Python float as its repr, which reads back bit
-    for bit, so callers pass Python floats (`.tolist()` for numpy rows)."""
+    """The writer of the package's CSV files but the results tables
+    (`harness.write_results_csv`, which writes the same bytes): the
+    header, then the rows as given. `csv` writes a Python float as its
+    repr, which reads back bit for bit, so callers pass Python floats
+    (`.tolist()` for numpy rows)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)

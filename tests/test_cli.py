@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from ensgrad import __version__
 from ensgrad.cli import main
-from ensgrad.harness import BenchConfig, TRAJECTORY_HEADER, read_results_csv
+from ensgrad.harness import (BenchConfig, RESULTS_HEADER, TRAJECTORY_HEADER, aggregate,
+                             read_results_csv, run_bench, select_best_lambda)
 from ensgrad.objectives import hermite_objective
 from ensgrad.sampling import write_ensemble_csv
 
@@ -389,6 +391,25 @@ class TestBench:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
+    def test_each_cell_with_non_finite_rows_says_how_many(self, tmp_path, capsys):
+        # an x-mean of 1e30 in one dimension overflows some estimators' order-6 errors
+        cfg = write_cfg(tmp_path / "cfg.json", {
+            "n_trials": 2, "hermite_orders": [6, 2], "ensemble_sizes": [5, 3],
+            "lambda_grid": [0.0, 0.1], "x_mean": [1e30, 0, 0, 0, 0]})
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
+        assert rc == 1
+        failures = err.splitlines()[4:]
+        assert [line.split(":")[0] for line in failures] == ["order=6 N=5", "order=6 N=3"]
+        rows = read_results_csv(out / "results.csv")
+        for line, n in zip(failures, (5, 3)):
+            k, m = map(int, re.fullmatch(r"order=6 N=\d: (\d+) of (\d+) rows have a non-finite "
+                                         r"rmse or bias; left out", line).groups())
+            assert 0 < k < m == 24  # 12 estimators x 2 lambdas, some left
+            assert sum(r.order == 6 and r.n == n for r in rows) == m - k
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_failure_lines_in_configured_cell_order(self, tmp_path, capsys):
         # progress goes N by N, but failures list the orders, then the sizes, as configured
         cfg = write_cfg(tmp_path / "cfg.json", {
@@ -401,6 +422,76 @@ class TestBench:
             "[1/4] order=6 N=5", "[2/4] order=5 N=5", "[3/4] order=6 N=3", "[4/4] order=5 N=3"]
         assert [line.split(":")[0] for line in lines[4:]] == [
             "order=6 N=5", "order=6 N=3", "order=5 N=5", "order=5 N=3"]
+
+
+# The byte pins: `--seed 5` runs of the default grid and of PIN_CFG, which
+# lists its orders, sizes, lambdas and estimators out of order and has 9 dims
+# (numpy's pairwise sums over a row start at 8 entries); at 201 trials each cell
+# has two blocks. The SHA-256 digests of results.csv and best_lambda.csv were
+# recorded before the command built its rows from the per-cell arrays. The
+# SVDs and matmuls behind them round as the BLAS build and the CPU make them,
+# so the digests are checked where they were recorded; elsewhere
+# `test_rows_match_the_per_key_path` still checks the rows.
+PIN_CFG = {"hermite_orders": [5, 2], "ensemble_sizes": [10, 4], "lambda_grid": [0.1, 0.0, 0.003],
+           "estimators": ["two_sided", "stosag", "avg_grad", "gen_stosag", "plain_lls", "decorr"],
+           "dims": 9}
+PIN_PLATFORM = ("2.4.6", "x86_64", ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"])
+PINS = [
+    (None, 25, 1, "2382439d7a82dfef201ca713e8ee8b59a8147f716d4517e8066164b629ad4986",
+     "ac590d4ea9951e60480dfc75766b0ce43c7205cf71b901acde89ec03478554cf"),
+    (PIN_CFG, 25, 1, "76b3e76f604f90a358ffc1ddfbe7f5afc521afb69a300ecda623d2f78cbd62d2",
+     "7a7f67042c9ea1884f0a24f9770d2a7ba9a38d5911211470ac617efe127c6c70"),
+    (PIN_CFG, 201, 2, "08471e3cffb2c3ae9399ffa211488c4f3e53c29c6fea0ae137bb13263a523654",
+     "7f23df2dd379379c5e71112c5be1cf7d2415c877ce670f1a856c3008185dbb91"),
+    (PIN_CFG, 201, 1, "08471e3cffb2c3ae9399ffa211488c4f3e53c29c6fea0ae137bb13263a523654",
+     "7f23df2dd379379c5e71112c5be1cf7d2415c877ce670f1a856c3008185dbb91"),
+]
+
+
+def _platform():
+    return (np.__version__, platform.machine(),
+            np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+
+
+def _bench(capsys, tmp_path, cfg, trials, workers):
+    out = tmp_path / "out"
+    argv = ["bench", "--trials", trials, "--seed", 5, "--workers", workers, "--out", out]
+    if cfg is not None:
+        argv += ["--config", write_cfg(tmp_path / "cfg.json", cfg)]
+    return run(capsys, *argv)[0], out
+
+
+@pytest.mark.skipif(_platform() != PIN_PLATFORM,
+                    reason="byte pins recorded with numpy 2.4.6 on x86_64 with AVX512_SPR")
+@pytest.mark.parametrize("cfg,trials,workers,results,best", PINS,
+                         ids=["default-t25", "pin-t25", "pin-t201-w2", "pin-t201-w1"])
+def test_output_bytes_pinned(tmp_path, capsys, cfg, trials, workers, results, best):
+    rc, out = _bench(capsys, tmp_path, cfg, trials, workers)
+    assert rc == 0
+    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == results
+    assert hashlib.sha256((out / "best_lambda.csv").read_bytes()).hexdigest() == best
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cfg,trials,partial", [
+    (PIN_CFG, 25, False), (PIN_CFG, 201, False),
+    ({"hermite_orders": [6, 2], "ensemble_sizes": [5], "x_mean": [1e30, 0, 0, 0, 0]}, 3, True)],
+    ids=["pin-t25", "pin-t201", "non-finite"])
+def test_rows_match_the_per_key_path(tmp_path, capsys, cfg, trials, partial):
+    # the reference: aggregate()'s rows of the library run, the finite ones,
+    # and select_best_lambda over them, as csv.writer writes them
+    rc, out = _bench(capsys, tmp_path, cfg, trials, 1)
+    assert rc == partial
+    lib = BenchConfig.from_dict(dict(cfg, n_trials=trials, base_seed=5))
+    rows = [r for r in aggregate(run_bench(lib, blocks_per_cell=-(-trials // 200)).stats)
+            if np.isfinite(r.rmse) and np.isfinite(r.bias)]
+    for name, want in (("results.csv", rows), ("best_lambda.csv", select_best_lambda(rows))):
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([RESULTS_HEADER] + [
+            (r.estimator, r.order, r.n, float(r.lam), r.rmse, r.bias, r.evals, r.trials)
+            for r in want])
+        assert (out / name).read_bytes() == buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

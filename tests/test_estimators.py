@@ -438,6 +438,15 @@ class TestAccounting:
                 assert got.grad.tobytes() == fresh.grad.tobytes(), (kind, lam)
                 assert (got.evals, got.cached) == (fresh.evals, fresh.cached)
 
+    def test_lambda_sweep_projects_each_row_once(self):
+        x, u = draw_xu(39, n=6)
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        estimate(obj, x, u, spec_for("paired", 0.0))
+        memo = obj._memos[0][1]
+        projected = memo[("projected", "values", "U")]
+        estimate(obj, x, u, spec_for("paired", 0.1))
+        assert memo[("projected", "values", "U")] is projected
+
     def test_degenerate_pair_raises_at_every_lambda_of_a_sweep(self):
         # the pair check is memoised with the pair differences, so a pair
         # with v == w must fail on every call, not only on the first

@@ -1,6 +1,8 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
 import contextlib
+import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -11,7 +13,9 @@ from ensgrad.estimators import ESTIMATOR_IDS
 from ensgrad.harness import (
     CONFIG_FIELDS,
     MAX_DIMS,
+    RESULTS_HEADER,
     BenchConfig,
+    CellTotals,
     ConfigError,
     DescentConfig,
     ErrorStats,
@@ -21,6 +25,7 @@ from ensgrad.harness import (
     aggregate,
     block_arrays,
     bootstrap_band,
+    cell_tables,
     merge_stats,
     read_results_csv,
     run_bench,
@@ -498,6 +503,30 @@ class TestAggregation:
         assert [r.lam for r in select_best_lambda(rows, "bias")] == [0.0]
         assert select_best_lambda(rows[:1], "rmse") == []
 
+    @staticmethod
+    def _cell(estimators, rmse, bias):
+        # one trial in one dimension: a row's rmse is sqrt(sum_sq), its bias |sum_err|
+        sums = np.stack([np.array(bias, dtype=float), np.array(rmse, dtype=float) ** 2], axis=1)
+        return CellTotals(tuple(estimators), sums[..., None], np.ones(len(estimators), dtype=int),
+                          tuple((6, 0) for _ in estimators))
+
+    def test_cell_tables_leave_out_non_finite_rows(self):
+        nan, inf = float("nan"), float("inf")
+        cell = self._cell(("paired", "stosag"), rmse=[[0.5, 1.0, 2.0], [nan, 1.0, inf]],
+                          bias=[[inf, 0.25, 0.5], [0.5, -inf, 0.5]])
+        rows, best, bad = cell_tables(3, 6, cell, (0.0, 0.1, 0.2))
+        # paired's least rmse has an infinite bias: left out, and the best is the next
+        assert rows == [("paired", 3, 6, 0.1, 1.0, 0.25, 6, 1),
+                        ("paired", 3, 6, 0.2, 2.0, 0.5, 6, 1)]
+        assert best == [rows[0]]  # stosag has no finite row, so no best row
+        assert bad == 4
+
+    def test_cell_tables_tie_goes_to_the_smallest_lambda(self):
+        cell = self._cell(("stosag",), rmse=[[1.0, 1.0, 1.0, 3.0]], bias=[[0.0, 0.1, 0.2, 0.3]])
+        rows, best, bad = cell_tables(3, 6, cell, (3, 0.3, 0.1, 0.0))  # descending, an int
+        assert [r[3] for r in rows] == [0.0, 0.1, 0.3, 3.0]
+        assert best == [("stosag", 3, 6, 0.1, 1.0, 0.2, 6, 1)] and bad == 0
+
     def test_metric_flag_changes_selection_on_real_data(self):
         # heavier damping trades bias for variance, so the two metrics pick
         # different lambdas somewhere on the grid
@@ -523,6 +552,17 @@ class TestAggregation:
             assert path.read_text() == ("estimator,order,N,lambda,rmse,bias,evals,trials\n"
                                         "paired,3,6,0.0,-0.0,5e-324,6,40\n"
                                         "paired,3,6,0.1,1e+16,0.1,6,40\n")
+
+    @pytest.mark.parametrize("name", ["a,b", 'q"x', "line\nbreak", " pad "])
+    def test_results_csv_quotes_an_estimator_as_csv_does(self, tmp_path, name):
+        rows = [ResultRow(name, 3, 6, 0.1, 1.0, 0.5, 6, 40),
+                ResultRow("paired", 3, 6, 0.0, 2.0, 0.5, 6, 40)]
+        path = tmp_path / "results.csv"
+        write_results_csv(path, rows)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([RESULTS_HEADER] + [tuple(r) for r in rows])
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert read_results_csv(path) == rows
 
 
 class TestBootstrap:
