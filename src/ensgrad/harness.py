@@ -9,12 +9,12 @@ stream. `run_bench` runs a block of trials in sub-batches of bounded size:
 trial t reads the same stream at every Hermite order, so each sub-batch is
 drawn once for all orders, and per order each estimator makes one
 `estimate_batch` call over the whole lambda grid, sharing the sub-batch's
-evaluations and the controls' SVDs through `Batch`. Every block's error
-moments are kept per cell for the bootstrap bands (`block_arrays`), and
-their totals per cell (`CellTotals`); `cell_tables` turns a cell's totals
-into its RMSE/bias rows in one array pass, and `aggregate` does the same
-for per-key `ErrorStats`. The CLI sizes its blocks in trials, at most
-`BLOCK_TRIALS` each.
+evaluations and the controls' SVDs through `Batch`. A run's one store is a
+read-only `CellTotals` per (order, N): its blocks' error moments in trial
+order and their totals. `cell_tables` turns a cell into RMSE/bias rows in
+one array pass, `block_arrays` reads its blocks for bootstrap bands, and
+`aggregate` turns `BenchResult.stats`, its per-key `ErrorStats` view, into
+rows. The CLI sizes its blocks in trials, at most `BLOCK_TRIALS` each.
 `run_trial` is the plain composition of per-call `estimate()`s on the same
 draws, one trial and one lambda at a time, which the tests pin the blocks
 against. The truth is in closed form (`objectives.hermite_expected_grad`).
@@ -25,7 +25,6 @@ Rastrigin surface and the control-variate variance-reduction law check.
 
 import contextlib
 import csv
-import io
 import math
 import numbers
 import sys
@@ -190,61 +189,34 @@ class BenchConfig:
 
 
 # ---------------------------------------------------------------------------
-# Accumulators. Keys are (estimator, order, N, lam); merging is associative
-# and commutative, and run_bench sums block moments in a fixed task order so
-# aggregates do not depend on scheduling.
+# Per-key records, keyed (estimator, order, N, lam): `BenchResult.stats` views
+# a run's cells as these; merging is associative and commutative.
 
 
-@dataclass
-class ErrorStats:
-    """Signed per-dimension error moments over trials."""
+class ErrorStats(namedtuple("ErrorStats", "sum_err sum_sq n evals cached")):
+    """Sums of signed errors and of their squares, (d,), over n trials; read-only."""
 
-    sum_err: np.ndarray
-    sum_sq: np.ndarray
-    n: int = 0
-    evals: int = 0
-    cached: int = 0
-
-    @classmethod
-    def empty(cls, dims, evals=0, cached=0):
-        return cls(np.zeros(dims), np.zeros(dims), 0, evals, cached)
-
-    def add_block(self, errors):
-        """errors: (T, d) signed errors."""
-        self.sum_err += errors.sum(axis=0)
-        self.sum_sq += (errors**2).sum(axis=0)
-        self.n += errors.shape[0]
-        return self
+    __slots__ = ()
 
     def merge(self, other):
+        """A new record of both records' moments."""
         if other.evals != self.evals or other.cached != self.cached:
             raise ValueError("merging stats with different evaluation contracts")
-        self.sum_err += other.sum_err
-        self.sum_sq += other.sum_sq
-        self.n += other.n
-        return self
+        return self._replace(sum_err=self.sum_err + other.sum_err,
+                             sum_sq=self.sum_sq + other.sum_sq, n=self.n + other.n)
 
 
 def merge_stats(into, other):
+    """Merge `other` into the dict `into`, rebinding its keys to new records; returns `into`."""
     for key, st in other.items():
-        if key in into:
-            into[key].merge(st)
-        else:
-            into[key] = st
+        into[key] = into[key].merge(st) if key in into else st
     return into
 
 
 # ---------------------------------------------------------------------------
 # Trials: draws, truth, and the per-call reference composition.
 
-
-@dataclass
-class TrialOutcome:
-    """Per-estimator signed errors, shape (n_lambda, d); plus skips."""
-
-    errors: dict
-    skips: dict
-    evals: dict
+TrialOutcome = namedtuple("TrialOutcome", "errors skips evals")  # per estimator, of run_trial
 
 
 def _draw_trials(cfg, n, lo, hi):
@@ -376,9 +348,10 @@ def _run_group(cfg, n, lo, hi):
 
 
 # One (order, N) cell's totals over its trials, for the estimators that ran,
-# in ESTIMATOR_IDS order: error moment sums (E, 2, L, d), trial counts (E,)
-# and (evals, cached) pairs.
-CellTotals = namedtuple("CellTotals", "estimators sums trials contracts")
+# in ESTIMATOR_IDS order: error moment sums (E, 2, L, d), trial counts (E,),
+# (evals, cached) pairs, and its B blocks in trial order: moments (E, B, 2, L,
+# d) and trial counts (E, B), 0 where a block skipped; run_bench's are read-only.
+CellTotals = namedtuple("CellTotals", "estimators sums trials contracts block_sums block_trials")
 
 
 @dataclass
@@ -386,7 +359,6 @@ class BenchResult:
     cells: dict  # (order, N) -> CellTotals
     skips: dict  # (order, N, est) -> reason
     failures: dict = field(default_factory=dict)  # (order, N) -> "Type: message"
-    blocks: dict = field(default_factory=dict)  # (est, order, N) -> (sums, trials)
     lambda_grid: tuple = ()  # the lambdas indexing the sums
     elapsed: float = 0.0
 
@@ -422,15 +394,13 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     of all orders at one N and trial range are one task: every order's
     trial t reads the same child stream, so the task draws the ensembles
     once and factors the controls once, and each order runs its estimators
-    on them. `blocks[(est, order, N)]` keeps each block's moments in trial
-    order: a (B, 2, L, d) stack, 80 bytes per block and key at d = 5 (17 MB
-    on the full default grid), and (B,) trial counts, 0 where a block
-    skipped est. `cells[(order, N)]` sums the blocks in trial order, the
-    same bits for any `workers` (another split can move the last bits once
-    a block spans several sub-batches), and `stats` are views into those
-    sums. An order that raises fails its (order, N) cell alone:
-    `failures[(order, N)]` holds the first `"Type: message"`, and the cell
-    keeps no estimators, stats, blocks or skips. `progress(i, n_blocks)` is
+    on them. `cells[(order, N)]` keeps each block's moments in trial order,
+    80 bytes per block, estimator and lambda at d = 5 (17 MB on the full
+    default grid), and their sums in trial order: the same bits for any
+    `workers` (another split can move the last bits once a block spans
+    several sub-batches). An order that raises fails its (order, N) cell
+    alone: `failures[(order, N)]` holds the first `"Type: message"`, and the
+    cell keeps no estimators or skips. `progress(i, n_blocks)` is
     called as each (order, N, block) comes back, size-major: for each N and
     trial range, the orders in turn."""
     import time
@@ -445,7 +415,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     n_blocks = len(tasks) * len(cfg.hermite_orders)
     per_cell = len(tasks) // len(cfg.ensemble_sizes)
     args = [(cfg, n, lo, hi) for n, lo, hi in tasks]
-    row = {est: e for e, est in enumerate(cfg.estimators)}
+    row = {est: e for e, est in enumerate(est for est in ESTIMATOR_IDS if est in cfg.estimators)}
     # per cell, every estimator's block sums and trial counts, and the (evals,
     # cached) of those that ran; -0.0 is exact for +: skipped rows add nothing
     cells = {(order, n): (np.full((len(row), per_cell, 2, len(cfg.lambda_grid), cfg.dims), -0.0),
@@ -478,17 +448,19 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
                 if progress:
                     progress(done, n_blocks)
 
-    totals, blocks = {}, {}
+    totals = {}
     skips = {key: reason for key, reason in skips.items() if key[:2] not in failures}
-    for (order, n), (sums, trials, contracts) in cells.items():
-        ran = tuple(est for est in ESTIMATOR_IDS if est in contracts)
-        at = [row[est] for est in ran]
-        for est, e in zip(ran, at):
-            blocks[(est, order, n)] = sums[e], trials[e]
+    for key in list(cells):  # popped, so the stacks of a cell that copies them are freed at once
+        sums, trials, contracts = cells.pop(key)
+        ran = tuple(est for est in row if est in contracts)
+        at = slice(None) if len(ran) == len(row) else [row[est] for est in ran]  # a view if all ran
         # from -0.0, the sums are the blocks' sequential adds bit for bit
-        totals[(order, n)] = CellTotals(ran, sums.sum(axis=1, initial=-0.0)[at],
-                                        trials.sum(axis=1)[at], tuple(map(contracts.get, ran)))
-    return BenchResult(cells=totals, skips=skips, failures=failures, blocks=blocks,
+        totals[key] = cell = CellTotals(ran, sums.sum(axis=1, initial=-0.0)[at],
+                                        trials.sum(axis=1)[at], tuple(map(contracts.get, ran)),
+                                        sums[at], trials[at])
+        for a in (cell.sums, cell.trials, cell.block_sums, cell.block_trials):
+            a.flags.writeable = False
+    return BenchResult(cells=totals, skips=skips, failures=failures,
                        lambda_grid=tuple(cfg.lambda_grid), elapsed=time.perf_counter() - t0)
 
 
@@ -576,26 +548,16 @@ def select_best_lambda(rows, metric="rmse"):
     return out
 
 
-class _CsvText(dict):
-    """Text fields as `csv.writer` writes them among other fields, quoted
-    where it must; each distinct text goes through `csv` once."""
-
-    def __missing__(self, text):
-        buf = io.StringIO()
-        csv.writer(buf).writerow([text, ""])
-        self[text] = out = buf.getvalue()[:-len(",\r\n")]
-        return out
-
-
 def write_results_csv(path, rows):
-    """Result rows (ResultRows or tuples in `RESULTS_HEADER` order, with
-    Python floats) under `RESULTS_HEADER`, byte for byte as `csv.writer`
-    writes them: a float as its repr, an int lambda as a float, an
-    estimator quoted where it must be."""
-    names = _CsvText()
+    """A sequence of result rows (ResultRows or tuples in `RESULTS_HEADER`
+    order, with Python floats) under `RESULTS_HEADER`, byte for byte as
+    `csv.writer` writes them: a float as its repr, an int lambda as a float.
+    An estimator name must be an identifier, which csv never quotes."""
+    if bad := sorted(e for e in {e for e, _, _, _, _, _, _, _ in rows} if not e.isidentifier()):
+        raise ValueError(f"estimator names are not identifiers: {bad}")
     with open(path, "w", newline="") as f:
         f.write(",".join(RESULTS_HEADER) + "\r\n")
-        f.writelines(f"{names[e]},{order},{n},{float(lam)!r},{rmse!r},{bias!r},{evals},{t}\r\n"
+        f.writelines(f"{e},{order},{n},{float(lam)!r},{rmse!r},{bias!r},{evals},{t}\r\n"
                      for e, order, n, lam, rmse, bias, evals, t in rows)
 
 
@@ -620,11 +582,12 @@ def read_results_csv(path):
 def block_arrays(result, estimator, order, n, lam):
     """One table cell's per-block moments, in trial order: (sums, sumsqs,
     ns) of shapes (B, d), (B, d) and (B,), for the blocks that ran it."""
-    if (estimator, order, n) not in result.blocks or lam not in result.lambda_grid:
+    cell = result.cells.get((order, n))
+    if cell is None or estimator not in cell.estimators or lam not in result.lambda_grid:
         raise KeyError(f"no blocks for {(estimator, order, n, lam)}")
-    sums, ns = result.blocks[(estimator, order, n)]
-    ran, l = ns > 0, result.lambda_grid.index(lam)
-    return sums[ran, 0, l], sums[ran, 1, l], ns[ran]
+    e, l = cell.estimators.index(estimator), result.lambda_grid.index(lam)
+    ran = cell.block_trials[e] > 0
+    return cell.block_sums[e, ran, 0, l], cell.block_sums[e, ran, 1, l], cell.block_trials[e, ran]
 
 
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):

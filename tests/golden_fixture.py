@@ -99,18 +99,23 @@ def bench_configs():
 
 
 def trial_stats(cfg):
-    """Per-key ErrorStats accumulated trial by trial through run_trial."""
-    stats = {}
+    """Per-key ErrorStats of the trials' run_trial errors, summed trial by
+    trial in trial order from zeros."""
+    errors, contracts = {}, {}
     for order in cfg.hermite_orders:
         for n in cfg.ensemble_sizes:
             for trial in range(cfg.n_trials):
                 out = run_trial(cfg, order, n, trial)
                 for est, rows in out.errors.items():
-                    for lam, row in zip(cfg.lambda_grid, rows):
-                        key = (est, order, n, lam)
-                        if key not in stats:
-                            stats[key] = ErrorStats.empty(cfg.dims, *out.evals[est])
-                        stats[key].add_block(row[None, :])
+                    errors.setdefault((est, order, n), []).append(rows)
+                    contracts.setdefault((est, order, n), out.evals[est])
+    stats = {}
+    for (est, order, n), rows in errors.items():
+        rows = np.stack(rows, axis=1)  # (L, T, d); summing over T adds the trials in order
+        sums, sqs = rows.sum(axis=1, initial=0.0), (rows**2).sum(axis=1, initial=0.0)
+        for l, lam in enumerate(cfg.lambda_grid):
+            stats[(est, order, n, lam)] = ErrorStats(sums[l], sqs[l], rows.shape[1],
+                                                     *contracts[(est, order, n)])
     return stats
 
 

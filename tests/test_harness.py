@@ -1,8 +1,7 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
 import contextlib
-import csv
-import io
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -13,7 +12,6 @@ from ensgrad.estimators import ESTIMATOR_IDS
 from ensgrad.harness import (
     CONFIG_FIELDS,
     MAX_DIMS,
-    RESULTS_HEADER,
     BenchConfig,
     CellTotals,
     ConfigError,
@@ -140,45 +138,67 @@ class TestBenchConfig:
         assert list(CONFIG_FIELDS) == [f.name for f in fields(BenchConfig)]
 
 
+def _stats(errors, evals=0):
+    """The record of (T, d) signed errors."""
+    return ErrorStats(errors.sum(axis=0), (errors**2).sum(axis=0), len(errors), evals, 0)
+
+
 class TestErrorStats:
     def test_two_point_example(self):
         # errors {+1, -1} on one dimension: rmse 1, bias 0
-        st = ErrorStats.empty(1)
-        st.add_block(np.array([[1.0], [-1.0]]))
-        rows = aggregate({("paired", 3, 6, 0.0): st})
+        rows = aggregate({("paired", 3, 6, 0.0): _stats(np.array([[1.0], [-1.0]]))})
         assert rows[0].rmse == pytest.approx(1.0)
         assert rows[0].bias == pytest.approx(0.0)
 
     def test_gaussian_moments(self):
         # N(0.5, 1) errors: rmse -> sqrt(1.25), bias -> 0.5
         g = np.random.default_rng(0)
-        st = ErrorStats.empty(2)
-        st.add_block(g.normal(0.5, 1.0, size=(100_000, 2)))
+        st = _stats(g.normal(0.5, 1.0, size=(100_000, 2)))
         rows = aggregate({("stosag", 3, 6, 0.0): st})
         assert rows[0].rmse == pytest.approx(np.sqrt(1.25), rel=0.01)
         assert rows[0].bias == pytest.approx(0.5, rel=0.01)
 
     def test_rmse_dominates_bias_per_dim(self):
         g = np.random.default_rng(1)
-        st = ErrorStats.empty(4)
-        st.add_block(g.standard_normal((500, 4)) + g.standard_normal(4))
+        st = _stats(g.standard_normal((500, 4)) + g.standard_normal(4))
         assert np.all(st.sum_sq / st.n >= (st.sum_err / st.n) ** 2)
         rows = aggregate({("paired", 2, 4, 0.0): st})
         assert rows[0].rmse >= rows[0].bias
 
     def test_merge_requires_same_contract(self):
-        a = ErrorStats.empty(2, evals=10)
-        b = ErrorStats.empty(2, evals=12)
+        a = _stats(np.zeros((0, 2)), evals=10)
+        b = _stats(np.zeros((0, 2)), evals=12)
         with pytest.raises(ValueError):
             a.merge(b)
 
     def test_merge_stats_accumulates(self):
         key = ("paired", 2, 4, 0.0)
-        a = {key: ErrorStats.empty(1).add_block(np.array([[1.0]]))}
-        b = {key: ErrorStats.empty(1).add_block(np.array([[2.0]]))}
+        a = {key: _stats(np.array([[1.0]]))}
+        b = {key: _stats(np.array([[2.0]]))}
+        first = a[key]
         merged = merge_stats(a, b)
+        assert merged is a
         assert merged[key].n == 2
         assert merged[key].sum_err[0] == 3.0
+        assert (first.n, first.sum_err[0]) == (1, 1.0)  # a new record, not written in place
+
+    def test_merge_stats_writes_no_cell(self):
+        cfg = BenchConfig(n_trials=4, hermite_orders=(3,), ensemble_sizes=(6,),
+                          lambda_grid=(0.0, 0.1), estimators=("stosag", "paired"))
+        a, b = run_bench(cfg), run_bench(replace(cfg, base_seed=7))
+        cell = a.cells[(3, 6)]
+        sums, trials = cell.sums.tobytes(), cell.trials.tobytes()
+        rows = cell_tables(3, 6, cell, a.lambda_grid)
+        merged = merge_stats(dict(a.stats), b.stats)
+        assert merged[("paired", 3, 6, 0.0)].n == 8
+        assert (cell.sums.tobytes(), cell.trials.tobytes()) == (sums, trials)
+        assert cell_tables(3, 6, cell, a.lambda_grid) == rows
+        assert [r.trials for r in aggregate(a.stats)] == [4] * 4
+        st = a.stats[("paired", 3, 6, 0.0)]
+        with pytest.raises(ValueError, match="read-only"):
+            st.sum_err += 1
+        with pytest.raises(ValueError, match="read-only"):
+            cell.block_trials[0, 0] = 0
 
 
 class TestRunTrial:
@@ -330,7 +350,9 @@ class TestRunBench:
 
     def test_blocks_stacked_in_trial_order(self):
         res = run_bench(SMALL, blocks_per_cell=4)
-        sums, trials = res.blocks[("stosag", 3, 6)]
+        cell = res.cells[(3, 6)]
+        e = cell.estimators.index("stosag")
+        sums, trials = cell.block_sums[e], cell.block_trials[e]
         assert sums.shape == (4, 2, len(SMALL.lambda_grid), SMALL.dims)
         for b, lo in enumerate(range(0, SMALL.n_trials, 10)):
             (moments, _), = _run_group(SMALL, 6, lo, lo + 10)
@@ -356,7 +378,8 @@ class TestRunBench:
 
         monkeypatch.setattr(harness_mod, "_run_block", second_block_skips_stosag)
         res = run_bench(SMALL, blocks_per_cell=4)
-        assert list(res.blocks[("stosag", 3, 6)][1]) == [10, 0, 10, 10]
+        cell = res.cells[(3, 6)]
+        assert list(cell.block_trials[cell.estimators.index("stosag")]) == [10, 0, 10, 10]
         sums, sumsqs, ns = block_arrays(res, "stosag", 3, 6, 0.0)
         ref = block_arrays(full, "stosag", 3, 6, 0.0)
         for got, want in zip((sums, sumsqs, ns), ref):
@@ -365,6 +388,20 @@ class TestRunBench:
         assert st.n == 30
         assert np.array_equal(st.sum_err, ref[0][0] + ref[0][2] + ref[0][3])
         assert np.array_equal(st.sum_sq, ref[1][0] + ref[1][2] + ref[1][3])
+
+    def test_blocks_of_a_cell_where_an_estimator_never_ran(self):
+        res = run_bench(replace(SMALL, m_members=4), blocks_per_cell=4)  # M != N: paired skips
+        cell = res.cells[(3, 6)]
+        assert "paired" not in cell.estimators and "paired" in SMALL.estimators
+        assert cell.block_sums.shape[:2] == cell.block_trials.shape == (len(cell.estimators), 4)
+        assert not cell.block_sums.flags.writeable and not cell.block_trials.flags.writeable
+        for e, est in enumerate(cell.estimators):
+            sums, sumsqs, ns = block_arrays(res, est, 3, 6, 1e-2)
+            assert np.array_equal(sums.sum(axis=0), cell.sums[e, 0, 1])
+            assert np.array_equal(sumsqs.sum(axis=0), cell.sums[e, 1, 1])
+            assert ns.sum() == cell.trials[e]
+        with pytest.raises(KeyError):
+            block_arrays(res, "paired", 3, 6, 0.0)
 
     def test_block_arrays_missing_key(self):
         res = run_bench(SMALL, blocks_per_cell=2)
@@ -434,7 +471,9 @@ class TestOrdersShareDraws:
         res = run_bench(SHARED, blocks_per_cell=2)
         assert res.failures == {(3, n): "RuntimeError: synthetic order failure"
                                 for n in SHARED.ensemble_sizes}
-        assert not [key for key in (*res.stats, *res.blocks) if key[1] == 3]
+        assert not [key for key in res.stats if key[1] == 3]
+        for n in SHARED.ensemble_sizes:
+            assert res.cells[(3, n)].estimators == () and res.cells[(3, n)].block_sums.size == 0
         assert not [key for key in res.skips if key[0] == 3]
         self.assert_same_as_one_order_runs(
             res, {order: one for order, one in one_order_runs.items() if order != 3})
@@ -507,8 +546,10 @@ class TestAggregation:
     def _cell(estimators, rmse, bias):
         # one trial in one dimension: a row's rmse is sqrt(sum_sq), its bias |sum_err|
         sums = np.stack([np.array(bias, dtype=float), np.array(rmse, dtype=float) ** 2], axis=1)
-        return CellTotals(tuple(estimators), sums[..., None], np.ones(len(estimators), dtype=int),
-                          tuple((6, 0) for _ in estimators))
+        trials = np.ones(len(estimators), dtype=int)
+        return CellTotals(tuple(estimators), sums[..., None], trials,
+                          tuple((6, 0) for _ in estimators), sums[:, None, ..., None],
+                          trials[:, None])
 
     def test_cell_tables_leave_out_non_finite_rows(self):
         nan, inf = float("nan"), float("inf")
@@ -554,15 +595,13 @@ class TestAggregation:
                                         "paired,3,6,0.1,1e+16,0.1,6,40\n")
 
     @pytest.mark.parametrize("name", ["a,b", 'q"x', "line\nbreak", " pad "])
-    def test_results_csv_quotes_an_estimator_as_csv_does(self, tmp_path, name):
+    def test_results_csv_rejects_an_estimator_that_is_no_identifier(self, tmp_path, name):
         rows = [ResultRow(name, 3, 6, 0.1, 1.0, 0.5, 6, 40),
                 ResultRow("paired", 3, 6, 0.0, 2.0, 0.5, 6, 40)]
         path = tmp_path / "results.csv"
-        write_results_csv(path, rows)
-        buf = io.StringIO(newline="")
-        csv.writer(buf).writerows([RESULTS_HEADER] + [tuple(r) for r in rows])
-        assert path.read_bytes() == buf.getvalue().encode()
-        assert read_results_csv(path) == rows
+        with pytest.raises(ValueError, match=re.escape(repr([name]))):
+            write_results_csv(path, rows)
+        assert not path.exists()
 
 
 class TestBootstrap:

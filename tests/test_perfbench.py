@@ -11,9 +11,13 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 import ensgrad.cli as cli
 import ensgrad.harness as harness
 from ensgrad.harness import BenchConfig
+
+from test_cli import PIN_PLATFORM, _platform
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 CFG = BenchConfig(base_seed=7, n_trials=4, hermite_orders=(2,), ensemble_sizes=(6,),
@@ -65,3 +69,19 @@ def test_traced_run_reads_the_package(tmp_path):
     # (cli.write_s also counts write_manifest, so the span is checked by name)
     assert metrics["cli.write_s"] > 0
     assert any(span[0] == "harness.write_results_csv" for span in tracer.spans)
+
+
+@pytest.mark.skipif(_platform() != PIN_PLATFORM,
+                    reason="digests recorded with numpy 2.4.6 on x86_64 with AVX512_SPR")
+@pytest.mark.parametrize("cfg,workers,digest", [
+    (BenchConfig(n_trials=200), 1,
+     "4931b6305e8b2c5c958bc78b83d0074b65ff9dc6903ea31d6cc923ff0b2d5801"),
+    (BenchConfig(n_trials=25, base_seed=5), 1,
+     "b6ac1405a4c8a54bd52a6975b4936052a1a897d12f038e645bb776a9a7f7f1ba"),
+    (BenchConfig(n_trials=25, base_seed=5), 2,
+     "b6ac1405a4c8a54bd52a6975b4936052a1a897d12f038e645bb776a9a7f7f1ba"),
+], ids=["t200", "t25-seed5-w1", "t25-seed5-w2"])
+def test_stats_digest_pinned(cfg, workers, digest):
+    # the hash the benchmark's grid and full_grid.py report, over res.stats
+    res = harness.run_bench(cfg, workers=workers, blocks_per_cell=1)
+    assert _load("checks").stats_sha256(res.stats) == digest

@@ -170,7 +170,7 @@ def test_aggregate_equals_per_row_formula(seed, d, keys, empty):
 
 def test_aggregate_of_nothing_is_empty():
     assert aggregate({}) == []
-    assert aggregate({("stosag", 2, 5, 0.0): ErrorStats.empty(3)}) == []
+    assert aggregate({("stosag", 2, 5, 0.0): ErrorStats(np.zeros(3), np.zeros(3), 0, 0, 0)}) == []
 
 
 def random_stack(seed, stack, m, k, rank):
