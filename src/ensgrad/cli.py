@@ -59,6 +59,7 @@ from .sampling import (
     child_seed,
     draw_ensemble,
     read_ensemble_csv,
+    read_values_csv,
     recenter,
     rng_from,
     write_rows_csv,
@@ -132,15 +133,11 @@ def _cmd_bench(args):
 
     try:
         for n in sizes:
-            def progress(done, total, n=n):  # each order's last block comes back last
-                if done > total - len(orders):
-                    cell_done(orders[done - total + len(orders) - 1], n)
-
             if args.workers > 1 and blocks_per_cell > 1 and pool is None:
                 pool = harness.ProcessPoolExecutor(max_workers=args.workers)
             try:
                 res = run_bench(replace(cfg, ensemble_sizes=(n,)), workers=pool or 1,
-                                blocks_per_cell=blocks_per_cell, progress=progress)
+                                blocks_per_cell=blocks_per_cell, progress=cell_done)
                 cells.update(res.cells)
                 skips.update(res.skips)
                 failed.update(res.failures)
@@ -385,32 +382,6 @@ def _values_objective(u_members, values, mu, mean_values):
                          value_mean=value_mean)
 
 
-def _read_values_matrix(path):
-    """Headerless CSV of floats; returns the (rows, cols) matrix."""
-    import csv
-
-    rows = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise DimensionError(
-                    f"{path}:{lineno}: non-numeric cell; values files are "
-                    "headerless CSV matrices"
-                )
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{lineno}: non-finite value in {row}")
-            rows.append(values)
-    if not rows:
-        raise InsufficientSampleError(f"{path}: no values")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float)
-
-
 def _named_objective(name, dims):
     if name.startswith("hermite"):
         try:
@@ -466,7 +437,7 @@ def _cmd_gradient(args):
                     "avg_grad differentiates the objective; a values file "
                     "cannot supply gradients, use --objective"
                 )
-            values = _read_values_matrix(args.values)
+            values = read_values_csv(args.values)
             if values.shape[1] != n_total:
                 raise DimensionError(
                     f"--values has {values.shape[1]} columns, expected one per "
@@ -478,7 +449,7 @@ def _cmd_gradient(args):
                     f"x-member ({x_members.shape[1]}) or a single row"
                 )
             if args.mean_values:
-                mv = _read_values_matrix(args.mean_values)
+                mv = read_values_csv(args.mean_values)
                 if 1 not in mv.shape:
                     raise DimensionError(
                         f"--mean-values must be a single row or column, got "

@@ -400,9 +400,9 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     `workers` (another split can move the last bits once a block spans
     several sub-batches). An order that raises fails its (order, N) cell
     alone: `failures[(order, N)]` holds the first `"Type: message"`, and the
-    cell keeps no estimators or skips. `progress(i, n_blocks)` is
-    called as each (order, N, block) comes back, size-major: for each N and
-    trial range, the orders in turn."""
+    cell keeps no estimators or skips. `progress(order, N)` is called once
+    per cell, failed cells included, as its last block comes back:
+    size-major, the orders of each N in turn."""
     import time
 
     cfg.validate()
@@ -412,7 +412,6 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
         raise ConfigError(f"workers: expected an Executor or positive int, got {workers!r}")
     t0 = time.perf_counter()
     tasks = _bench_tasks(cfg, blocks_per_cell)
-    n_blocks = len(tasks) * len(cfg.hermite_orders)
     per_cell = len(tasks) // len(cfg.ensemble_sizes)
     args = [(cfg, n, lo, hi) for n, lo, hi in tasks]
     row = {est: e for e, est in enumerate(est for est in ESTIMATOR_IDS if est in cfg.estimators)}
@@ -421,7 +420,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     cells = {(order, n): (np.full((len(row), per_cell, 2, len(cfg.lambda_grid), cfg.dims), -0.0),
                           np.zeros((len(row), per_cell), dtype=np.int64), {})
              for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
-    skips, failures, done = {}, {}, 0
+    skips, failures = {}, {}
     with contextlib.ExitStack() as stack:
         if isinstance(workers, Executor):
             parts = workers.map(_run_task, args)
@@ -432,7 +431,6 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
             parts = (_run_group(*a) for a in args)
         for i, ((n, *_), group) in enumerate(zip(tasks, parts)):
             for order, part in zip(cfg.hermite_orders, group):
-                done += 1
                 if isinstance(part, str):
                     failures.setdefault((order, n), part)
                     cells[(order, n)][2].clear()  # its estimators make no stats or blocks
@@ -445,8 +443,8 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
                         trials[row[est], i % per_cell] = block_trials
                     for est, reason in part[1].items():
                         skips[(order, n, est)] = reason
-                if progress:
-                    progress(done, n_blocks)
+                if progress and i % per_cell == per_cell - 1:  # the cell's last block
+                    progress(order, n)
 
     totals = {}
     skips = {key: reason for key, reason in skips.items() if key[:2] not in failures}
@@ -591,21 +589,16 @@ def block_arrays(result, estimator, order, n, lam):
 
 
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):
-    """Percentile bootstrap band for the aggregated metric, resampling
-    blocks with replacement."""
+    """Percentile bootstrap band for the aggregated metric (`error_metrics`),
+    resampling blocks with replacement."""
     if metric not in ("rmse", "bias"):
         raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
     c = len(ns)
     if c == 0:
         raise ValueError("no blocks to resample")
-    rng = rng_from(child_seed(seed, 0))
-    idx = rng.integers(0, c, size=(n_boot, c))
-    n_tot = ns[idx].sum(axis=1)[:, None]
-    if metric == "rmse":
-        vals = np.sqrt(sumsqs[idx].sum(axis=1) / n_tot).mean(axis=1)
-    else:
-        vals = np.abs(sums[idx].sum(axis=1) / n_tot).mean(axis=1)
-    return tuple(np.percentile(vals, q))
+    idx = rng_from(child_seed(seed, 0)).integers(0, c, size=(n_boot, c))
+    rmse, bias = error_metrics(sums[idx].sum(axis=1), sumsqs[idx].sum(axis=1), ns[idx].sum(axis=1))
+    return tuple(np.percentile(rmse if metric == "rmse" else bias, q))
 
 
 # ---------------------------------------------------------------------------

@@ -295,27 +295,44 @@ def write_ensemble_csv(path, members):
     write_rows_csv(path, [f"dim_{i}" for i in range(members.shape[0])], members.T.tolist())
 
 
+def _read_rows(path, rows, width, layout):
+    """The float matrix of `rows`, a csv reader on `path`: one row per
+    non-blank line, each `width` cells wide (the first row's if None). A
+    non-numeric cell (its message names `layout`) or a non-finite one raises
+    ValueError, a row of another width DimensionError, each naming its line;
+    no row at all raises InsufficientSampleError."""
+    out = []
+    for row in rows:
+        if not row:
+            continue
+        where = f"{path}:{rows.line_num}"
+        try:
+            values = [float(x) for x in row]
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric cell in {row}; expected {layout}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: non-finite cell in {row}")
+        width = width or len(values)
+        if len(values) != width:
+            raise DimensionError(f"{where}: ragged row of {len(values)} cells, expected {width}")
+        out.append(values)
+    if not out:
+        raise InsufficientSampleError(f"{path}: no rows")
+    return np.array(out)
+
+
+def read_values_csv(path):
+    """A headerless CSV matrix of numbers, (rows, cols): the layout of the
+    CLI's value files."""
+    with open(path, newline="") as f:
+        return _read_rows(path, csv.reader(f), None, "a headerless CSV matrix of numbers")
+
+
 def read_ensemble_csv(path):
-    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix.
-    Non-numeric and non-finite cells are rejected, naming their line."""
+    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix."""
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
         if not header or any(h != f"dim_{i}" for i, h in enumerate(header)):
             raise DimensionError(f"{path}: expected a dim_0,...,dim_k header, got {header}")
-        rows = []
-        for row in r:
-            if not row:
-                continue
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise ValueError(f"{path}:{r.line_num}: non-numeric cell in {row}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{r.line_num}: non-finite cell in {row}")
-            rows.append(values)
-    if not rows:
-        raise InsufficientSampleError(f"{path}: no members")
-    if any(len(row) != len(header) for row in rows):
-        raise DimensionError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float).T
+        return _read_rows(path, r, len(header), "one member per row under the header").T

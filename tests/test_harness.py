@@ -323,8 +323,9 @@ class TestRunBench:
 
     def test_progress_fires_for_parallel_runs(self):
         calls = []
-        run_bench(SMALL, workers=2, blocks_per_cell=4, progress=lambda i, n: calls.append((i, n)))
-        assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
+        run_bench(SMALL, workers=2, blocks_per_cell=4,
+                  progress=lambda order, n: calls.append((order, n)))
+        assert calls == [(o, n) for n in SMALL.ensemble_sizes for o in SMALL.hermite_orders]
 
     def test_list_lambda_grid(self):
         # validate() accepts a list grid, which must run as its tuple does
@@ -494,7 +495,7 @@ class TestOrdersShareDraws:
         monkeypatch.setattr(estimators_mod, "svd", counted("svds", estimators_mod.svd))
         cfg = replace(SHARED, hermite_orders=(2, 3, 5))
         calls = []
-        run_bench(cfg, blocks_per_cell=2, progress=lambda i, n: calls.append((i, n)))
+        run_bench(cfg, blocks_per_cell=2, progress=lambda order, n: calls.append((order, n)))
         # two blocks per size: one sub-batch each at N=6, two at N=200
         sub_batches = 2 * 1 + 2 * 2
         assert counts["draws"] == sub_batches
@@ -502,8 +503,25 @@ class TestOrdersShareDraws:
         # every order; decorr's controls depend on the order, so it makes
         # one SVD per order
         assert counts["svds"] == sub_batches * (4 + len(cfg.hermite_orders))
-        total = len(cfg.hermite_orders) * len(cfg.ensemble_sizes) * 2
-        assert calls == [(i, total) for i in range(1, total + 1)]
+        assert calls == [(o, n) for n in cfg.ensemble_sizes for o in cfg.hermite_orders]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_reported_once(self, monkeypatch, workers):
+        import ensgrad.harness as harness_mod
+
+        real = harness_mod._run_block
+
+        def failing(cfg, order, subs):  # both blocks of the cell (3, 6)
+            if order == 3 and subs[0][0].n == 6:
+                raise RuntimeError("synthetic order failure")
+            return real(cfg, order, subs)
+
+        monkeypatch.setattr(harness_mod, "_run_block", failing)
+        calls = []
+        res = run_bench(SHARED, workers=workers, blocks_per_cell=2,
+                        progress=lambda order, n: calls.append((order, n)))
+        assert set(res.failures) == {(3, 6)}
+        assert calls == [(o, n) for n in SHARED.ensemble_sizes for o in SHARED.hermite_orders]
 
 
 class TestAggregation:

@@ -14,6 +14,7 @@ from ensgrad.sampling import (
     draw_ensemble,
     mirror,
     read_ensemble_csv,
+    read_values_csv,
     recenter,
     rng_from,
     write_ensemble_csv,
@@ -179,6 +180,12 @@ class TestDecorrelate:
             decorrelate(e, np.zeros(e.n + 1))
 
 
+# the two layouts of the CSV readers: (reader, the text before the first row)
+LAYOUTS = pytest.mark.parametrize("read,head", [(read_ensemble_csv, "dim_0,dim_1\n"),
+                                                (read_values_csv, "")],
+                                  ids=["ensemble", "headerless"])
+
+
 class TestEnsembleCsv:
     # the edge members: an int zero, a signed zero, the smallest subnormal, a
     # large and an inexact float, with their exact text on disk
@@ -207,14 +214,33 @@ class TestEnsembleCsv:
         with pytest.raises(DimensionError):
             read_ensemble_csv(path)
 
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("dim_0,dim_1\n1.0,2.0\n3.0\n")
-        with pytest.raises(DimensionError):
-            read_ensemble_csv(path)
+    def assert_fault(self, path, read, error, line=None):
+        with pytest.raises(error) as info:
+            read(path)
+        assert type(info.value) is error  # the same class in both layouts
+        if line is not None:
+            assert str(info.value).startswith(f"{path}:{line}: ")
 
-    def test_empty_rejected(self, tmp_path):
+    @LAYOUTS
+    def test_ragged_rows_rejected(self, tmp_path, read, head):
+        path = tmp_path / "ragged.csv"
+        path.write_text(head + "1.0,2.0\n3.0\n")
+        self.assert_fault(path, read, DimensionError, 2 + bool(head))
+
+    @LAYOUTS
+    def test_empty_rejected(self, tmp_path, read, head):
         path = tmp_path / "empty.csv"
-        path.write_text("dim_0\n")
-        with pytest.raises(InsufficientSampleError):
-            read_ensemble_csv(path)
+        path.write_text(head)
+        self.assert_fault(path, read, InsufficientSampleError)
+
+    @LAYOUTS
+    def test_non_numeric_cell_rejected(self, tmp_path, read, head):
+        path = tmp_path / "text.csv"
+        path.write_text(head + "1.0,2.0\n3.0,oops\n")
+        self.assert_fault(path, read, ValueError, 2 + bool(head))
+
+    @LAYOUTS
+    def test_non_finite_cell_rejected(self, tmp_path, read, head):
+        path = tmp_path / "nan.csv"  # a blank line counts as a line
+        path.write_text(head + "1.0,2.0\n\n3.0,nan\n")
+        self.assert_fault(path, read, ValueError, 3 + bool(head))
