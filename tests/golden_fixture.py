@@ -134,8 +134,8 @@ def stats_record(stats):
             for key, st in sorted(stats.items())]
 
 
-def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
+def main():
+    args = sys.argv[1:]
     if len(args) != 1:
         raise SystemExit("usage: golden_fixture.py OUT.json.gz")
     out = args[0]

@@ -495,7 +495,8 @@ class TestOrdersShareDraws:
         monkeypatch.setattr(estimators_mod, "svd", counted("svds", estimators_mod.svd))
         cfg = replace(SHARED, hermite_orders=(2, 3, 5))
         calls = []
-        run_bench(cfg, blocks_per_cell=2, progress=lambda order, n: calls.append((order, n)))
+        run_bench(cfg, blocks_per_cell=2,
+                  progress=lambda order, n: calls.append((order, n, counts["draws"])))
         # two blocks per size: one sub-batch each at N=6, two at N=200
         sub_batches = 2 * 1 + 2 * 2
         assert counts["draws"] == sub_batches
@@ -503,7 +504,9 @@ class TestOrdersShareDraws:
         # every order; decorr's controls depend on the order, so it makes
         # one SVD per order
         assert counts["svds"] == sub_batches * (4 + len(cfg.hermite_orders))
-        assert calls == [(o, n) for n in cfg.ensemble_sizes for o in cfg.hermite_orders]
+        # a cell is reported once both its blocks have been drawn
+        assert calls == [(o, n, 2 if n == 6 else 6)
+                         for n in cfg.ensemble_sizes for o in cfg.hermite_orders]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_cell_reported_once(self, monkeypatch, workers):
