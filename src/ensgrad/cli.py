@@ -17,13 +17,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__
 from .errors import DegenerateEnsembleError, DimensionError, InsufficientSampleError
 from .estimators import (
     ESTIMATOR_IDS,
@@ -119,53 +118,33 @@ def _cmd_bench(args):
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
 
-    # one run_bench call per N, whose orders share each block's draws and SVDs;
-    # a call of one block (<= BLOCK_TRIALS trials) per cell runs here, so a pool
-    # starts only for more blocks: one per command, renewed after a worker dies
+    # one run_bench call; a run of one block (<= BLOCK_TRIALS trials) per cell
+    # runs in this process, so a pool starts only for cells of more blocks
     orders, sizes = cfg.hermite_orders, cfg.ensemble_sizes
     blocks_per_cell = math.ceil(cfg.n_trials / BLOCK_TRIALS)
-    cells, skips, failed, printed, pool = {}, {}, {}, [], None
+    printed = []
 
     def cell_done(order, n):
         printed.append((order, n))
         print(f"[{len(printed)}/{len(orders) * len(sizes)}] order={order} N={n} done",
               file=sys.stderr)
 
-    try:
-        for n in sizes:
-            if args.workers > 1 and blocks_per_cell > 1 and pool is None:
-                pool = harness.ProcessPoolExecutor(max_workers=args.workers)
-            try:
-                res = run_bench(replace(cfg, ensemble_sizes=(n,)), workers=pool or 1,
-                                blocks_per_cell=blocks_per_cell, progress=cell_done)
-                cells.update(res.cells)
-                skips.update(res.skips)
-                failed.update(res.failures)
-            except Exception as e:  # keep going; a dead worker ran all of this N's orders
-                failed.update({(order, n): f"{type(e).__name__}: {e}" for order in orders})
-                if isinstance(e, BrokenExecutor):
-                    pool.shutdown(cancel_futures=True)
-                    pool = None
-            for order in orders:  # the cells of a failed call print too
-                if (order, n) not in printed:
-                    cell_done(order, n)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    res = run_bench(cfg, workers=args.workers if blocks_per_cell > 1 else 1,
+                    blocks_per_cell=blocks_per_cell, progress=cell_done)
 
     def in_cell_order(items):  # keys (order, N, ...): the configured orders, then sizes
         return sorted(items, key=lambda kv: (orders.index(kv[0][0]), sizes.index(kv[0][1]), kv[0]))
 
-    rows, best = [], []
-    for order, n in sorted(cells):  # the rows' order: cells by (order, N)
-        cell_rows, cell_best, bad = cell_tables(order, n, cells[(order, n)], cfg.lambda_grid)
+    rows, best, failed = [], [], dict(res.failures)
+    for order, n in sorted(res.cells):  # the rows' order: cells by (order, N)
+        cell_rows, cell_best, bad = cell_tables(order, n, res.cells[(order, n)], cfg.lambda_grid)
         rows += cell_rows
         best += cell_best
         if bad:
             failed[(order, n)] = (f"{bad} of {len(cell_rows) + bad} rows have a non-finite rmse "
                                   "or bias; left out")
     notes = [f"skipped {est} at order={order} N={n}: {reason}"
-             for (order, n, est), reason in in_cell_order(skips.items())]
+             for (order, n, est), reason in in_cell_order(res.skips.items())]
     failures = [f"order={order} N={n}: {why}" for (order, n), why in in_cell_order(failed.items())]
     write_results_csv(os.path.join(args.out, "results.csv"), rows)
     write_results_csv(os.path.join(args.out, "best_lambda.csv"), best)

@@ -23,13 +23,12 @@ Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
 """
 
-import contextlib
 import csv
 import math
 import numbers
 import sys
 from collections import namedtuple
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -376,20 +375,14 @@ class BenchResult:
         return stats
 
 
-def _bench_tasks(cfg, blocks_per_cell):
-    """The (N, lo, hi) groups of a run, size-major; each covers every order."""
-    block = max(1, math.ceil(cfg.n_trials / blocks_per_cell))
-    return [(n, lo, min(lo + block, cfg.n_trials))
-            for n in cfg.ensemble_sizes for lo in range(0, cfg.n_trials, block)]
-
-
 def _run_task(args):
     return list(_run_group(*args))
 
 
 def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
-    """Run the full benchmark grid. `workers` is a positive process count,
-    or an open `Executor` to run the blocks on, which is left open. Each (order,
+    """Run the full benchmark grid, one ensemble size N after another: in
+    process, or for `workers` > 1 on one pool of that many processes, which
+    the call starts when first needed and shuts down on return. Each (order,
     N) cell's trials split evenly into `blocks_per_cell` blocks. The blocks
     of all orders at one N and trial range are one task: every order's
     trial t reads the same child stream, so the task draws the ensembles
@@ -399,58 +392,69 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     default grid), and their sums in trial order: the same bits for any
     `workers` (another split can move the last bits once a block spans
     several sub-batches). An order that raises fails its (order, N) cell
-    alone: `failures[(order, N)]` holds the first `"Type: message"`, and the
-    cell keeps no estimators or skips. `progress(order, N)` is called once
-    per cell, failed cells included, as its last block comes back:
-    size-major, the orders of each N in turn."""
+    alone; any other exception while an N runs, `progress`'s too, fails all
+    of that N's cells, and a dead worker also renews the pool. A failed cell
+    keeps no estimators or skips, and `failures[(order, N)]` holds its
+    `"Type: message"`. `progress(order, N)` is called once per cell, failed
+    cells included, as its last block comes back: by N, then by order."""
     import time
 
     cfg.validate()
-    if not _ints(1)(blocks_per_cell):
-        raise ConfigError(f"blocks_per_cell: expected positive int, got {blocks_per_cell!r}")
-    if not (isinstance(workers, Executor) or _ints(1)(workers)):
-        raise ConfigError(f"workers: expected an Executor or positive int, got {workers!r}")
+    for name, value in (("blocks_per_cell", blocks_per_cell), ("workers", workers)):
+        if not _ints(1)(value):
+            raise ConfigError(f"{name}: expected positive int, got {value!r}")
     t0 = time.perf_counter()
-    tasks = _bench_tasks(cfg, blocks_per_cell)
-    per_cell = len(tasks) // len(cfg.ensemble_sizes)
-    args = [(cfg, n, lo, hi) for n, lo, hi in tasks]
+    orders, progress = cfg.hermite_orders, progress or (lambda order, n: None)
+    block = max(1, math.ceil(cfg.n_trials / blocks_per_cell))
+    starts = range(0, cfg.n_trials, block)
     row = {est: e for e, est in enumerate(est for est in ESTIMATOR_IDS if est in cfg.estimators)}
     # per cell, every estimator's block sums and trial counts, and the (evals,
     # cached) of those that ran; -0.0 is exact for +: skipped rows add nothing
-    cells = {(order, n): (np.full((len(row), per_cell, 2, len(cfg.lambda_grid), cfg.dims), -0.0),
-                          np.zeros((len(row), per_cell), dtype=np.int64), {})
-             for order in cfg.hermite_orders for n in cfg.ensemble_sizes}
-    skips, failures = {}, {}
-    with contextlib.ExitStack() as stack:
-        if isinstance(workers, Executor):
-            parts = workers.map(_run_task, args)
-        elif workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            parts = pool.map(_run_task, args)
-        else:
-            parts = (_run_group(*a) for a in args)
-        for i, ((n, *_), group) in enumerate(zip(tasks, parts)):
-            for order, part in zip(cfg.hermite_orders, group):
-                if isinstance(part, str):
-                    failures.setdefault((order, n), part)
-                    cells[(order, n)][2].clear()  # its estimators make no stats or blocks
-                elif (order, n) not in failures:
-                    sums, trials, contracts = cells[(order, n)]
-                    for est, (block_sums, block_trials, evals, cached) in part[0].items():
-                        if contracts.setdefault(est, (evals, cached)) != (evals, cached):
-                            raise ValueError("merging stats with different evaluation contracts")
-                        sums[row[est], i % per_cell] = block_sums
-                        trials[row[est], i % per_cell] = block_trials
-                    for est, reason in part[1].items():
-                        skips[(order, n, est)] = reason
-                if progress and i % per_cell == per_cell - 1:  # the cell's last block
-                    progress(order, n)
+    cells = {(order, n): (np.full((len(row), len(starts), 2, len(cfg.lambda_grid), cfg.dims), -0.0),
+                          np.zeros((len(row), len(starts)), dtype=np.int64), {})
+             for order in orders for n in cfg.ensemble_sizes}
+    skips, failures, pool = {}, {}, None
+    try:
+        for n in cfg.ensemble_sizes:
+            args = [(cfg, n, lo, min(lo + block, cfg.n_trials)) for lo in starts]
+            reported = 0  # of this N's orders, in turn
+            try:
+                if workers > 1 and pool is None:
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                parts = pool.map(_run_task, args) if pool else (_run_group(*a) for a in args)
+                for b, group in enumerate(parts):
+                    for order, part in zip(orders, group):
+                        if isinstance(part, str):
+                            failures.setdefault((order, n), part)
+                        elif (order, n) not in failures:
+                            sums, trials, contracts = cells[(order, n)]
+                            for est, (block_sums, block_trials, evals, cached) in part[0].items():
+                                if contracts.setdefault(est, (evals, cached)) != (evals, cached):
+                                    raise ValueError("cell blocks differ in evaluation contracts")
+                                sums[row[est], b] = block_sums
+                                trials[row[est], b] = block_trials
+                            for est, reason in part[1].items():
+                                skips[(order, n, est)] = reason
+                        if b == len(starts) - 1:  # the cell's last block
+                            reported += 1
+                            progress(order, n)
+            except Exception as e:  # e.g. a dead worker, which ran all of this N's orders
+                failures.update({(order, n): f"{type(e).__name__}: {e}" for order in orders})
+                if isinstance(e, BrokenExecutor):
+                    pool.shutdown(cancel_futures=True)
+                    pool = None
+            for order in orders[reported:]:  # the cells of a failed N are reported too
+                progress(order, n)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     totals = {}
     skips = {key: reason for key, reason in skips.items() if key[:2] not in failures}
     for key in list(cells):  # popped, so the stacks of a cell that copies them are freed at once
         sums, trials, contracts = cells.pop(key)
-        ran = tuple(est for est in row if est in contracts)
+        # a failed cell's estimators make no stats or blocks
+        ran = () if key in failures else tuple(est for est in row if est in contracts)
         at = slice(None) if len(ran) == len(row) else [row[est] for est in ran]  # a view if all ran
         # from -0.0, the sums are the blocks' sequential adds bit for bit
         totals[key] = cell = CellTotals(ran, sums.sum(axis=1, initial=-0.0)[at],

@@ -249,8 +249,8 @@ class TestBench:
         rc, _, _ = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "out",
                        "--trials", trials)
         assert rc == 0
-        # one call per N, running every order
-        assert got == [(blocks, (0, 2), (6,)), (blocks, (0, 2), (7,))]
+        # one call, running every order and size
+        assert got == [(blocks, (0, 2), (6, 7))]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
@@ -306,7 +306,7 @@ class TestBench:
         """Orders 0 and 3 at N=6, then at N=7, with two workers and two
         blocks a cell; `hook` runs on the arguments of every call of
         harness's `name` first. Returns (rc, stderr, out dir, the pools made,
-        the `workers` each run_bench call got)."""
+        the `workers` of each run_bench call)."""
         import ensgrad.cli as cli_mod
         import ensgrad.harness as harness_mod
 
@@ -354,7 +354,7 @@ class TestBench:
         assert "order=0 N=6: RuntimeError: synthetic block failure" in err
         assert "order=0 N=7: RuntimeError: synthetic block failure" in err
         self.assert_partial(out, {(3, 6), (3, 7)})
-        assert len(pools) == 1 and calls == [pools[0], pools[0]]
+        assert len(pools) == 1 and calls == [2]
 
     def test_dead_worker_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
@@ -370,7 +370,7 @@ class TestBench:
         assert "order=0 N=6: BrokenProcessPool" in err
         assert "order=3 N=6: BrokenProcessPool" in err
         self.assert_partial(out, {(0, 7), (3, 7)})
-        assert len(pools) == 2 and calls == pools
+        assert len(pools) == 2 and calls == [2]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

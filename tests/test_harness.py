@@ -1,8 +1,8 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
-import contextlib
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -311,15 +311,11 @@ class TestFastPathEquivalence:
 class TestRunBench:
     def test_worker_count_does_not_change_results(self):
         one = run_bench(SMALL, workers=1, blocks_per_cell=4)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            runs = [run_bench(SMALL, workers=2, blocks_per_cell=4),
-                    run_bench(SMALL, workers=pool, blocks_per_cell=4)]
-            assert pool.submit(abs, -3).result() == 3  # run_bench left it open
-        for two in runs:
-            assert set(one.stats) == set(two.stats)
-            for key, st in one.stats.items():
-                assert np.array_equal(st.sum_err, two.stats[key].sum_err)
-                assert np.array_equal(st.sum_sq, two.stats[key].sum_sq)
+        two = run_bench(SMALL, workers=2, blocks_per_cell=4)
+        assert set(one.stats) == set(two.stats)
+        for key, st in one.stats.items():
+            assert np.array_equal(st.sum_err, two.stats[key].sum_err)
+            assert np.array_equal(st.sum_sq, two.stats[key].sum_sq)
 
     def test_progress_fires_for_parallel_runs(self):
         calls = []
@@ -415,10 +411,66 @@ class TestRunBench:
         with pytest.raises(ConfigError, match="blocks_per_cell"):
             run_bench(SMALL, blocks_per_cell=blocks)
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, None, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, None, "2",
+                                         pytest.param(Executor(), id="executor")])
     def test_bad_workers_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             run_bench(SMALL, workers=workers)
+
+    def test_interrupted_pooled_run_leaves_queued_blocks_unrun(self, tmp_path, monkeypatch):
+        """A `progress` that raises ends a pooled run at once: the blocks of
+        the N's after the first never start."""
+        import ensgrad.harness as harness_mod
+
+        real, started = harness_mod._sub_batches, tmp_path / "started"
+
+        def counted(cfg, n, lo, hi):
+            with open(started, "a") as f:  # forked workers inherit the patch
+                f.write(f"{n}\n")
+            return real(cfg, n, lo, hi)
+
+        def stop(order, n):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(harness_mod, "_sub_batches", counted)
+        cfg = replace(SMALL, n_trials=8, hermite_orders=(2, 3), ensemble_sizes=(5, 6, 7),
+                      lambda_grid=(0.0,))
+        with pytest.raises(RuntimeError, match="stop"):
+            run_bench(cfg, workers=2, blocks_per_cell=4, progress=stop)
+        assert started.read_text().split() == ["5"] * 4  # the first N's blocks only
+
+    def test_dead_worker_fails_only_its_size(self, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        cfg = replace(SMALL, n_trials=4, hermite_orders=(0, 3), ensemble_sizes=(6, 7))
+        serial = run_bench(cfg, blocks_per_cell=2)
+        real, parent, pools, calls = harness_mod._sub_batches, os.getpid(), [], []
+
+        def die(cfg, n, lo, hi):
+            if n == 6 and os.getpid() != parent:
+                os._exit(1)
+            return real(cfg, n, lo, hi)
+
+        class Pool(harness_mod.ProcessPoolExecutor):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                pools.append(self)
+
+        monkeypatch.setattr(harness_mod, "_sub_batches", die)  # forked workers inherit it
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Pool)
+        res = run_bench(cfg, workers=2, blocks_per_cell=2,
+                        progress=lambda order, n: calls.append((order, n)))
+        assert set(res.failures) == {(0, 6), (3, 6)}
+        assert all(why.startswith("BrokenProcessPool: ") for why in res.failures.values())
+        assert len(pools) == 2  # N=7 runs on a new pool
+        assert calls == [(o, n) for n in cfg.ensemble_sizes for o in cfg.hermite_orders]
+        for order in cfg.hermite_orders:
+            assert res.cells[(order, 6)].estimators == ()
+            got, want = res.cells[(order, 7)], serial.cells[(order, 7)]
+            assert got.estimators == want.estimators and got.contracts == want.contracts
+            for name in ("sums", "trials", "block_sums", "block_trials"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert res.skips == {key: why for key, why in serial.skips.items() if key[1] == 7}
 
 
 SHARED = BenchConfig(base_seed=515, n_trials=24, dims=5, hermite_orders=(0, 2, 3, 5),
@@ -449,12 +501,9 @@ class TestOrdersShareDraws:
                 for a, b in zip(block_arrays(res, *key), block_arrays(one, *key)):
                     assert np.array_equal(a, b), key
 
-    @pytest.mark.parametrize("workers", [1, 2, "executor"])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_same_bits_as_one_run_per_order(self, one_order_runs, workers):
-        with contextlib.ExitStack() as stack:
-            if workers == "executor":
-                workers = stack.enter_context(ProcessPoolExecutor(max_workers=2))
-            res = run_bench(SHARED, workers=workers, blocks_per_cell=2)
+        res = run_bench(SHARED, workers=workers, blocks_per_cell=2)
         self.assert_same_as_one_order_runs(res, one_order_runs)
 
     def test_failing_order_fails_alone(self, one_order_runs, monkeypatch):
