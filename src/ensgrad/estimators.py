@@ -232,12 +232,14 @@ def _each_lambda(grad, lambdas):
     return np.repeat(grad[None], len(lambdas), axis=0)
 
 
-def _regress(key, row, b, spec, lambdas):
-    """`row @ Ut^+` (damped) at every lambda, or `row @ Ut^T/(N-1)` in
-    preconditioned form; `key` is the row's own in `b`'s memo."""
+def _regress(key, row, b, spec, lambdas, name="U", matrix=None, cross=None):
+    """`row @ a^+` (damped) at every lambda for the matrix `a = matrix()` that
+    `name` stands for in `b`'s memo (default: `Ut`), or in preconditioned
+    form `cross()` (default: `row @ Ut^T/(N-1)`); `key` is the row's own."""
     if spec.precondition:
-        return _each_lambda(sample_cross_cov(row, b.U.anomalies), lambdas)
-    return b.damped_apply(key, row, "U", lambda: b.U.anomalies, lambdas)
+        grad = sample_cross_cov(row, b.U.anomalies) if cross is None else cross()
+        return _each_lambda(grad, lambdas)
+    return b.damped_apply(key, row, name, matrix or (lambda: b.U.anomalies), lambdas)
 
 
 def _plain_lls(b, spec, lambdas):
@@ -306,10 +308,8 @@ def _two_sided(b, spec, lambdas):
     diff = b.once("pair_diffs", pair_diffs, shared=True)
     rows = b.group_rows(2)
     row = b.once("two_sided", lambda: rows[..., 0] - rows[..., 1])
-    if spec.precondition:
-        grad = _each_lambda((diff @ row[..., None])[..., 0] / (2 * b.X.n), lambdas)
-    else:
-        grad = b.damped_apply("two_sided", row, "diff", lambda: diff, lambdas)
+    grad = _regress("two_sided", row, b, spec, lambdas, "diff", lambda: diff,
+                    lambda: (diff @ row[..., None])[..., 0] / (2 * b.X.n))
     return grad, 2 * b.X.n, 0
 
 
@@ -325,11 +325,9 @@ def _checked_groups(b, spec, kind):
 def _average_lls(b, spec, lambdas):
     """Mean over x-members of each group's own regression gradient."""
     rows, anoms = _checked_groups(b, spec, "average_lls")
-    if spec.precondition:
-        return _each_lambda(sample_cross_cov(rows, anoms).mean(axis=-2), lambdas), b.U.n, 0
-    if spec.subsample_size > 2:
-        grad = b.damped_apply(("rows", spec.subsample_size), rows, "groups", lambda: anoms,
-                              lambdas)
+    if spec.precondition or spec.subsample_size > 2:
+        grad = _regress(("rows", spec.subsample_size), rows, b, spec, lambdas, "groups",
+                        lambda: anoms, lambda: sample_cross_cov(rows, anoms))
         return grad.mean(axis=-2), b.U.n, 0
 
     def rank1():
@@ -366,18 +364,14 @@ def _group_cross_moments(b, spec, kind):
 
 def _gen_stosag(b, spec, lambdas):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
-    if spec.precondition:
-        return _each_lambda(c_mean, lambdas), b.U.n, 0
-    grad = b.damped_apply(("moments", spec.subsample_size), c_mean, "cov_mean",
-                          lambda: cov_mean, lambdas)
+    grad = _regress(("moments", spec.subsample_size), c_mean, b, spec, lambdas, "cov_mean",
+                    lambda: cov_mean, lambda: c_mean)
     return grad, b.U.n, 0
 
 
 def _hybrid(b, spec, lambdas):
     """Per-group cross-covariances against the pooled control covariance."""
     c_mean, _ = _group_cross_moments(b, spec, "hybrid")
-    if spec.precondition:
-        return _each_lambda(c_mean, lambdas), b.U.n, 0
 
     def cov_pool():
         # matmul: this covariance has a near-null tail that amplifies any
@@ -385,8 +379,8 @@ def _hybrid(b, spec, lambdas):
         pooled = b.U.anomalies
         return pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
 
-    grad = b.damped_apply(("moments", spec.subsample_size), c_mean, "cov_pool", cov_pool,
-                          lambdas)
+    grad = _regress(("moments", spec.subsample_size), c_mean, b, spec, lambdas, "cov_pool",
+                    cov_pool, lambda: c_mean)
     return grad, b.U.n, 0
 
 
@@ -401,20 +395,7 @@ def _avg_grad(b, spec, lambdas):
     return _each_lambda(grad, lambdas), X.n * U.n, 0
 
 
-_DISPATCH = {
-    "plain_lls": _plain_lls,
-    "fragile": _fragile,
-    "paired": _paired,
-    "stosag": _stosag,
-    "average_lls": _average_lls,
-    "gen_stosag": _gen_stosag,
-    "hybrid": _hybrid,
-    "two_sided": _two_sided,
-    "mirrored2s": _mirrored2s,
-    "one_sided": _one_sided,
-    "decorr": _decorr,
-    "avg_grad": _avg_grad,
-}
+_DISPATCH = {kind: globals()[f"_{kind}"] for kind in ESTIMATOR_IDS}
 
 
 def estimate_batch(batch, spec, lambdas=None):

@@ -127,11 +127,10 @@ def _each_member(X):
 class ObjectiveSpec:
     """A conditional objective `loss(x, u)` with optional extras.
 
-    `value` is the scalar evaluation and `grad_u` its analytic u-gradient;
-    `expected_grad(x_members, u_spec)` is the truth oracle for benchmark
-    error measurement. The optional kernels, which must agree with `value`
-    and `grad_u`, take x-members (..., dx, M) and controls (..., du, N) with
-    leading trial axes that broadcast:
+    `value` is the scalar evaluation and `grad_u` its analytic u-gradient.
+    The optional kernels, which must agree with `value` and `grad_u`, take
+    x-members (..., dx, M) and controls (..., du, N) with leading trial
+    axes that broadcast:
     - `value_pairs(X, U)`: values loss(x_n, u_n), (..., N), M == N or one
       of the two a single member;
     - `value_mean(X, U)`: the M x N value table averaged over x, (..., N);
@@ -141,7 +140,6 @@ class ObjectiveSpec:
     name: str
     value: Callable
     grad_u: Optional[Callable] = None
-    expected_grad: Optional[Callable] = None
     value_pairs: Optional[Callable] = None
     value_mean: Optional[Callable] = None
     grad_mean: Optional[Callable] = None
@@ -220,7 +218,6 @@ def hermite_objective(order, dims=5):
         name=f"hermite{order}",
         value=lambda x, u: hermite_eval(order, x, u),
         grad_u=lambda x, u: hermite_grad_u(order, x, u),
-        expected_grad=lambda X, u_spec: hermite_expected_grad(order, X, u_spec),
         value_pairs=value_pairs,
         value_mean=value_mean,
         grad_mean=grad_mean,
@@ -286,7 +283,6 @@ def bilinear_objective(a, b):
         name="bilinear",
         value=lambda x, u: bilinear_eval(a, b, x, u),
         grad_u=lambda x, u: bilinear_grad(b),
-        expected_grad=lambda X, u_spec: bilinear_grad(b),
         value_pairs=value_pairs,
     )
 

@@ -14,10 +14,11 @@ import pytest
 
 from ensgrad import __version__
 from ensgrad.cli import main
+from ensgrad.estimators import EstimatorSpec, estimate
 from ensgrad.harness import (BenchConfig, RESULTS_HEADER, TRAJECTORY_HEADER, aggregate,
                              read_results_csv, run_bench, select_best_lambda)
 from ensgrad.objectives import hermite_objective
-from ensgrad.sampling import write_ensemble_csv
+from ensgrad.sampling import Ensemble, write_ensemble_csv
 
 BENCH_CFG = {
     "base_seed": 99,
@@ -601,6 +602,14 @@ class TestLinearCheck:
         rc, out, _ = run(capsys, "linear-check", "--inject-sign-error")
         assert rc == 1
         assert "FAIL stosag_exact" in out
+        # the flip reaches stosag_exact alone: one_sided is still compared
+        # with the unflipped stosag, and the lines keep their order
+        _, clean, _ = run(capsys, "linear-check")
+        lines, clean_lines = out.splitlines(), clean.splitlines()
+        assert [line.split(":")[0].split()[1] for line in lines] == [
+            "stosag_exact", "paired_error_formula", "decorr_zero", "one_sided_equals_stosag",
+            "unbiased_paired_preconditioned", "unbiased_stosag_preconditioned"]
+        assert lines[1:] == clean_lines[1:] and lines[0] != clean_lines[0]
 
     def test_zero_coupling_makes_paired_exact(self, capsys):
         rc, out, _ = run(capsys, "linear-check", "--zero-x-coupling")
@@ -775,6 +784,38 @@ class TestGradient:
                          "--objective", "hermite1", "--estimator", "avg_grad")
         assert rc == 2
         assert "dim_0" in err
+
+    @staticmethod
+    def repeated_member(tmp_path):
+        """d = 2, N = 6 controls whose first two members are equal, and six
+        x-members: files for a square value table."""
+        rng = np.random.default_rng(12)
+        u, x = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
+        u[:, 1] = u[:, 0]
+        u_csv, x_csv = tmp_path / "u.csv", tmp_path / "x.csv"
+        write_ensemble_csv(u_csv, u)
+        write_ensemble_csv(x_csv, x)
+        return u, x, u_csv, x_csv
+
+    def test_repeated_member_rejected_with_values(self, tmp_path, capsys):
+        # a value lookup by control cannot tell the two copies apart
+        u, x, u_csv, x_csv = self.repeated_member(tmp_path)
+        table = ((x.T[:, :, None] + u[None]) ** 3).sum(axis=1)  # sum((x_m + u_n)^3)
+        vals = write_values(tmp_path / "vals.csv", table)
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv,
+                           "--values", vals, "--estimator", "paired")
+        assert rc == 2 and out == ""
+        assert "rows 1 and 2" in err
+
+    def test_repeated_member_runs_with_objective(self, tmp_path, capsys):
+        u, x, u_csv, x_csv = self.repeated_member(tmp_path)
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv,
+                           "--objective", "hermite3", "--estimator", "paired")
+        assert rc == 0, err
+        expected = estimate(hermite_objective(3, 2), Ensemble(x, x.mean(axis=1)),
+                            Ensemble(u, u.mean(axis=1), recentred=True),
+                            EstimatorSpec(kind="paired")).grad
+        np.testing.assert_allclose(parse_grad(out), expected, rtol=0, atol=1e-12)
 
     def test_named_objective_avg_grad_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(31)

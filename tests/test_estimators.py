@@ -56,7 +56,7 @@ class TestBilinearExactness:
     @pytest.mark.parametrize("kind", EXACT)
     def test_exact_gradient(self, kind):
         obj = rand_bilinear(0)
-        truth = obj.expected_grad(None, None)
+        truth = obj.grad_u(None, None)
         for seed in range(5):
             if kind == "average_lls":
                 x, u = draw_xu(seed, n=12, m=2)
@@ -74,7 +74,7 @@ class TestBilinearExactness:
         # the pooled total covariance only matches the per-group average in
         # the large-M limit, so exactness here is asymptotic
         obj = rand_bilinear(99)
-        truth = obj.expected_grad(None, None)
+        truth = obj.grad_u(None, None)
         med = {}
         for m in (20, 2000):
             errs = []
@@ -122,7 +122,7 @@ class TestPlainAndFragile:
         x, u = draw_xu(6, n=10, m=7)
         out = estimate(obj, x, u, spec_for("plain_lls"))
         assert out.evals == 7 * 10
-        assert np.abs(out.grad - obj.expected_grad(None, None)).max() < 1e-9
+        assert np.abs(out.grad - obj.grad_u(None, None)).max() < 1e-9
 
 
 class TestStosagFamily:
@@ -202,7 +202,7 @@ class TestMirrored:
         # with N <= d the estimate is the projection of 1^T B onto the
         # anomaly column space, still exact inside it
         obj = rand_bilinear(13)
-        truth = obj.expected_grad(None, None)
+        truth = obj.grad_u(None, None)
         x, u = draw_xu(13, n=3)
         out = estimate(obj, x, u, spec_for("mirrored2s"))
         ut = u.anomalies
@@ -223,7 +223,7 @@ class TestDecorr:
         # psi is exactly the x-noise row, so projecting it out restores
         # near-exactness where paired fails
         obj = rand_bilinear(15)
-        truth = obj.expected_grad(None, None)
+        truth = obj.grad_u(None, None)
         x, u = draw_xu(15, n=12)
         out = estimate(obj, x, u, spec_for("decorr"))
         paired = estimate(obj, x, u, spec_for("paired"))
@@ -275,7 +275,7 @@ class TestSubsampled:
         # fresh groups each seed; sample mean of the estimate stays inside
         # a 3-SE band around the exact row (the spread itself is tiny)
         obj = rand_bilinear(18)
-        truth = obj.expected_grad(None, None)
+        truth = obj.grad_u(None, None)
         grads = []
         for seed in range(1000):
             x, u = draw_xu(20_000 + seed, n=9, m=3)
