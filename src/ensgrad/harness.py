@@ -301,29 +301,32 @@ def _run_block(cfg, order, subs):
     (`_sub_batches`): one `estimate_batch` call per estimator and sub-batch
     over the whole lambda grid. Per estimator the moments are `[sums,
     trials, evals, cached]`, with `sums` (2, L, d): the signed errors and
-    their squares summed over trials, per lambda."""
+    their squares summed over trials, per lambda, one trial after another
+    from a trial-major (T, L, d) array: each step adds one contiguous row."""
     objective = hermite_objective(order, cfg.dims)
+    specs = {est: EstimatorSpec(kind=est, charge_cached=cfg.charge_cached)
+             for est in cfg.estimators}
     moments, skips = {}, {}
     for x_ens, controls in subs:
         batches = {vw: Batch(objective, x_ens, ens, shared=shared)
                    for vw, (ens, shared) in controls.items()}
         truth = trial_truth(cfg, order, x_ens.members)  # (T, d)
-        for est in cfg.estimators:
+        for est, spec in specs.items():
             if est in skips:
                 continue
-            spec = EstimatorSpec(kind=est, charge_cached=cfg.charge_cached)
             try:
                 grads, evals, cached = estimate_batch(
-                    batches[est in SUBSAMPLED_IDS], spec, cfg.lambda_grid)
+                    batches[est in SUBSAMPLED_IDS], spec, cfg.lambda_grid)  # (L, T, d)
             except ValueError as e:  # includes DimensionError and degenerate pairs
                 skips[est] = str(e)
                 continue
             if est not in moments:
                 moments[est] = [np.zeros((2, len(cfg.lambda_grid), cfg.dims)), 0, evals, cached]
             acc = moments[est]
-            errors = grads - truth  # (L, T, d)
-            acc[0][0] += errors.sum(axis=1)
-            acc[0][1] += (errors**2).sum(axis=1)
+            errors = np.empty((len(truth), len(cfg.lambda_grid), cfg.dims))
+            np.subtract(grads, truth, out=errors.transpose(1, 0, 2))
+            acc[0][0] += errors.sum(axis=0)
+            acc[0][1] += np.square(errors, out=errors).sum(axis=0)
             acc[1] += len(truth)
     return moments, skips
 

@@ -24,11 +24,10 @@ def _scaled_hermite(order, t, shrink):
     """The recurrence h_{k+1} = t h_k - k shrink h_{k-1}, from h_0 = 1 and
     h_1 = t, elementwise. With shrink = 1 it gives He_order(t); with
     shrink = 1 - var it gives E[He_order(t + sqrt(var) Z)], Z ~ N(0, 1)."""
-    h_prev = np.ones_like(t)
-    if order == 0:
-        return h_prev
-    h = t.copy()
-    for k in range(1, order):
+    if order < 2:
+        return np.ones_like(t) if order == 0 else t.copy()
+    h, h_prev = t * t - shrink, t  # h_2, the k = 1 step's bits: (1 * shrink) * 1.0 == shrink
+    for k in range(2, order):
         h, h_prev = t * h - (k * shrink) * h_prev, h
     return h
 

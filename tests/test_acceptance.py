@@ -3,7 +3,8 @@
 Every check prints `criterion N: PASS/FAIL - detail` to the terminal before
 asserting, so a plain `pytest -v` run shows the full scoreboard even when a
 later criterion fails. Criteria 3 and 4 share one full benchmark run at the
-default configuration (seed 2026, 1e4 trials); the rest are self-contained.
+default configuration (seed 2026, 1e4 trials), whose stats hash
+`test_full_grid_digest_pinned` pins; the rest are self-contained.
 """
 
 import time
@@ -36,6 +37,9 @@ from ensgrad.objectives import (
     rastrigin_grad,
 )
 from ensgrad.sampling import GaussianSpec, child_seed, draw_ensemble, recenter
+
+from test_cli import PIN_PLATFORM, _platform
+from test_perfbench import _load
 
 # stosag variants expected to score within a common band (criterion 3c)
 FAMILY = ("stosag", "gen_stosag", "two_sided", "mirrored2s", "one_sided", "decorr")
@@ -233,6 +237,15 @@ def test_criterion_4_bias_suite(full_bench, capsys):
         f"fragile bias share {share:.3f}, paired-vs-stosag max z {worst_z:.2f}, "
         f"decorr>=stosag {dec_ok}",
     )
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(_platform() != PIN_PLATFORM,
+                    reason="digest recorded with numpy 2.4.6 on x86_64 with AVX512_SPR")
+def test_full_grid_digest_pinned(full_bench):
+    # the hash `python3 perfbench/full_grid.py` prints: 50 blocks per cell, 10^4 trials
+    digest = _load("checks").stats_sha256(full_bench["res"].stats)
+    assert digest == "ffa176448526a947ab490ca17a1e6bf72226bcbab39233ef8501a842ac018ce1"
 
 
 def test_criterion_5_unbiased_preconditioned(capsys):

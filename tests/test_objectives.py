@@ -76,6 +76,31 @@ class TestHermiteValues:
             ref = np.polynomial.hermite_e.hermeval(t, coeffs)
             assert np.allclose(hermite_value(k, t), ref, atol=1e-12)
 
+    @pytest.mark.parametrize("order", range(objectives.MAX_HERMITE_ORDER + 1))
+    def test_bits_equal_textbook_recurrence(self, order):
+        # h_{k+1} = t h_k - k shrink h_{k-1} from h_0 = 1 and h_1 = t, every
+        # step computed as written: a shortcut in the recurrence must keep its bits
+        def textbook(order, t, shrink):
+            h_prev, h = np.ones_like(t), t.copy()
+            if order == 0:
+                return h_prev
+            for k in range(1, order):
+                h, h_prev = t * h - (k * shrink) * h_prev, h
+            return h
+
+        g = rng(21)
+        t = np.concatenate([g.standard_normal(40) * 3.0, [0.0, -0.0, 1.0, -1.0, 1e5, -7.25]])
+        assert np.array_equal(hermite_value(order, t), textbook(order, t, 1.0))
+        x = g.standard_normal((4, 3, 6))
+        mean = g.standard_normal(3)
+        for cov in (0.26, np.array([0.01, 1.0, 2.5])):  # scalar and per-dimension shrink
+            spec = GaussianSpec(mean, cov)
+            a = mean[:, None] + x
+            shrink = 1.0 - np.broadcast_to(cov, (3,))[:, None]
+            ref = (order * textbook(order - 1, a, shrink).mean(axis=-1) if order
+                   else np.zeros((4, 3)))
+            assert np.array_equal(hermite_expected_grad(order, x, spec), ref)
+
     def test_order_validated(self):
         with pytest.raises(ValueError):
             hermite_value(-1, 0.0)
