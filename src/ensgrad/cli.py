@@ -329,16 +329,9 @@ def _values_objective(u_members, values, mu, mean_values):
     def value_mean(X, U):
         idx = lookup_idx(U)
         if row_mode:
-            if X.shape[1] == 1:
-                return values[0, idx]
             raise DimensionError(
                 "this estimator needs the full M-by-N value table, "
                 "got a single row"
-            )
-        if X.shape[1] != values.shape[0]:
-            raise DimensionError(
-                f"values table has {values.shape[0]} rows, the request "
-                f"covers {X.shape[1]} x-members"
             )
         return values[:, idx].mean(axis=0)
 
@@ -346,12 +339,14 @@ def _values_objective(u_members, values, mu, mean_values):
                          value_mean=value_mean)
 
 
-def _named_objective(name, dims):
+def _named_objective(name, dims, x_dims):
     if name.startswith("hermite"):
         try:
             order = int(name[len("hermite"):])
         except ValueError:
             raise DimensionError(f"unknown objective {name!r}")
+        if x_dims != dims:  # a Hermite objective evaluates at x + u; rastrigin ignores x
+            raise DimensionError(f"--ensemble-x has {x_dims} dims, --ensemble-u has {dims}")
         return hermite_objective(order, dims)
     if name == "rastrigin":
         if dims != 2:
@@ -390,7 +385,7 @@ def _cmd_gradient(args):
                     f"estimator {args.estimator} expects {m}"
                 )
         else:
-            x_members = np.zeros((1, m))
+            x_members = np.zeros((dims, m))
 
         if (args.values is None) == (args.objective is None):
             print("pass exactly one of --values or --objective", file=sys.stderr)
@@ -424,7 +419,7 @@ def _cmd_gradient(args):
                 mean_values = None
             spec_obj = _values_objective(u_members, values, mu, mean_values)
         else:
-            spec_obj = _named_objective(args.objective, dims)
+            spec_obj = _named_objective(args.objective, dims, len(x_members))
 
         u_ens = Ensemble(members=u_members, true_mean=mu,
                          recentred=bool(np.allclose(u_members.mean(axis=1), mu)))

@@ -176,23 +176,14 @@ class Batch:
         return self.once("baseline", lambda: self.obj.pairs(self.X.members,
                                                              self.U.true_mean[..., None]))
 
-    def damped(self, name, matrix, lambdas):
-        """`(u, damp(s, lambdas), vt)` for the SVD of `matrix()`, which is
-        built and factored once per `name`: a name stands for one matrix
-        of `U` (the group size is fixed by the batch's M and N)."""
-
-        def compute():
-            u, s, vt = self.once(("svd", name), lambda: svd(matrix()), shared=True)
-            return u, damp(s, lambdas), vt
-
-        return self.once(("damped", name, lambdas), compute, shared=True)
-
     def damped_apply(self, key, row, name, matrix, lambdas):
-        """`linalg.damped_apply` of `row` to `damped(name, matrix,
-        lambdas)`. The row's projection, which no lambda changes, is kept
-        in the memo next to the row, which is kept there under `key`, so
-        the calls of a lambda sweep compute it once."""
-        u, coeffs, vt = self.damped(name, matrix, lambdas)
+        """`linalg.damped_apply` of `row` to `(u, damp(s, lambdas), vt)` from
+        the SVD of `matrix()`, built and factored once per `name` (a name
+        stands for one matrix of `U`; the batch's M and N fix the group
+        size). The row's projection, which no lambda changes, is kept under
+        `key`, the row's own, so the calls of a lambda sweep compute it once."""
+        u, s, vt = self.once(("svd", name), lambda: svd(matrix()), shared=True)
+        coeffs = self.once(("damped", name, lambdas), lambda: damp(s, lambdas), shared=True)
         projected = self.once(("projected", key, name), lambda: vt @ row[..., None])
         return damped_apply(row, (u, coeffs, vt), projected)
 

@@ -4,6 +4,7 @@ known gradient. Each comes with analytic gradients and, where meaningful,
 the exact expected gradient used as benchmark truth.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -11,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
+from .sampling import GaussianSpec
 
 MAX_HERMITE_ORDER = 6
 
@@ -20,16 +22,23 @@ def _check_order(order):
         raise ValueError(f"Hermite order must be an int in [0, {MAX_HERMITE_ORDER}], got {order}")
 
 
-def _scaled_hermite(order, t, shrink):
-    """The recurrence h_{k+1} = t h_k - k shrink h_{k-1}, from h_0 = 1 and
-    h_1 = t, elementwise. With shrink = 1 it gives He_order(t); with
-    shrink = 1 - var it gives E[He_order(t + sqrt(var) Z)], Z ~ N(0, 1)."""
-    if order < 2:
-        return np.ones_like(t) if order == 0 else t.copy()
+def _hermite_terms(t, shrink):
+    """h_1, h_2, ... of the recurrence h_{k+1} = t h_k - k shrink h_{k-1},
+    from h_0 = 1 and h_1 = t, elementwise. With shrink = 1 they are
+    He_k(t); with shrink = 1 - var, E[He_k(t + sqrt(var) Z)], Z ~ N(0, 1)."""
+    yield t
     h, h_prev = t * t - shrink, t  # h_2, the k = 1 step's bits: (1 * shrink) * 1.0 == shrink
-    for k in range(2, order):
+    for k in itertools.count(2):
+        yield h
         h, h_prev = t * h - (k * shrink) * h_prev, h
-    return h
+
+
+def _scaled_hermite(order, t, shrink):
+    """h_order of `_hermite_terms`, a new array."""
+    if order == 0:
+        return np.ones_like(t)
+    h = next(itertools.islice(_hermite_terms(t, shrink), order - 1, None))
+    return h.copy() if order == 1 else h
 
 
 def hermite_value(order, t):
@@ -59,19 +68,6 @@ def hermite_grad_u(order, x, u):
     return order * hermite_value(order - 1, u + x)
 
 
-def _marginal_var(spec):
-    """Per-dimension variances of a GaussianSpec. The objectives here are
-    separable across dimensions, so marginals are all that expected
-    gradients need, whatever the correlations."""
-    cov = spec.cov
-    if np.isscalar(cov):
-        return np.full(spec.dim, float(cov))
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 1:
-        return cov
-    return np.diag(cov)
-
-
 def hermite_expected_grad(order, x_members, u_spec):
     """Expected gradient of the mean objective, conditional on the drawn
     x-members: component i is `avg_m E[order * He_{order-1}(u_i + x_mi)]`
@@ -89,21 +85,18 @@ def hermite_expected_grad(order, x_members, u_spec):
     if order == 0:
         return np.zeros(x_members.shape[:-1])
     a = u_spec.mean[:, None] + x_members
-    shrink = 1.0 - _marginal_var(u_spec)[:, None]
+    shrink = 1.0 - u_spec.variances[:, None]
     return order * _scaled_hermite(order - 1, a, shrink).mean(axis=-1)
 
 
 def hermite_expected_grad_dist(order, x_spec, u_spec):
-    """Distributional variant: expectation over x as well. The sum u_i + x_i
-    is again Gaussian, with the two means and the two variances added."""
-    _check_order(order)
+    """Distributional variant: expectation over x as well. u_i + x_i is
+    again Gaussian, so this is `hermite_expected_grad` at the one x-member
+    `x_spec.mean` under the summed variances."""
     if x_spec.dim != u_spec.dim:
         raise DimensionError(f"x dim {x_spec.dim} != u dim {u_spec.dim}")
-    if order == 0:
-        return np.zeros(u_spec.dim)
-    a = u_spec.mean + x_spec.mean
-    shrink = 1.0 - (_marginal_var(u_spec) + _marginal_var(x_spec))
-    return order * _scaled_hermite(order - 1, a, shrink)
+    summed = GaussianSpec(u_spec.mean, u_spec.variances + x_spec.variances)
+    return hermite_expected_grad(order, x_spec.mean[:, None], summed)
 
 
 def _columns(X, U):
@@ -175,13 +168,9 @@ class ObjectiveSpec:
 
 def _member_means(order, X):
     """`mean_m He_k(x_m)` for k = 0..order, (order+1, ..., d, 1)."""
-    out = np.empty((order + 1,) + X.shape[:-1] + (1,))
-    out[0] = 1.0
-    h_prev, h = np.ones_like(X), X
-    for k in range(order):
-        if k:
-            h, h_prev = X * h - k * h_prev, h
-        out[k + 1] = h.mean(axis=-1, keepdims=True)
+    out = np.ones((order + 1,) + X.shape[:-1] + (1,))
+    for k, h in zip(range(1, order + 1), _hermite_terms(X, 1.0)):
+        out[k] = h.mean(axis=-1, keepdims=True)
     return out
 
 

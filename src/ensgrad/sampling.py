@@ -44,6 +44,13 @@ class GaussianSpec:
     def dim(self):
         return self.mean.size
 
+    @property
+    def variances(self):
+        """The per-dimension variances, (d,): the covariance's diagonal."""
+        if np.isscalar(self.cov):
+            return np.full(self.dim, float(self.cov))
+        return self.cov if self.cov.ndim == 1 else np.diag(self.cov)
+
     def factor(self):
         """A (d, d) matrix L with L L^T = cov. Cholesky when positive
         definite, symmetric eigendecomposition for the merely semidefinite

@@ -834,6 +834,19 @@ class TestGradient:
         )
         np.testing.assert_allclose(parse_grad(out), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("estimator", ["stosag", "avg_grad"])
+    @pytest.mark.parametrize("dx", [4, 1])
+    def test_hermite_x_dims_must_match_u(self, tmp_path, capsys, dx, estimator):
+        # a hermite objective evaluates at x + u: a 4-row x would not broadcast,
+        # and a 1-row x would broadcast silently
+        u, u_csv = make_u(tmp_path, d=3, n=8, zero_mean=True)
+        x_csv = tmp_path / "x.csv"
+        write_ensemble_csv(x_csv, np.random.default_rng(5).normal(size=(dx, 8)))
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv,
+                           "--objective", "hermite3", "--estimator", estimator)
+        assert rc == 2 and out == ""
+        assert f"--ensemble-x has {dx} dims, --ensemble-u has 3" in err
+
     def test_rastrigin_objective_needs_two_dims(self, tmp_path, capsys):
         u, u_csv = make_u(tmp_path, d=3)
         rc, _, err = run(capsys, "gradient", "--ensemble-u", u_csv,

@@ -1,5 +1,7 @@
 """Objective values, analytic gradients, and expected-gradient oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ class TestHermiteValues:
             ref = (order * textbook(order - 1, a, shrink).mean(axis=-1) if order
                    else np.zeros((4, 3)))
             assert np.array_equal(hermite_expected_grad(order, x, spec), ref)
+        # the table means: the binomial sums, Horner's in u for the values and
+        # powers of u for the gradient, fed textbook He_k member means
+        X, U = g.standard_normal((4, 3, 6)) * 2.0, g.standard_normal((4, 3, 5))
+        he = [textbook(k, X, 1.0).mean(axis=-1, keepdims=True) for k in range(order + 1)]
+        acc = he[0] * np.ones_like(U)
+        for k in range(1, order + 1):
+            acc = acc * U + math.comb(order, k) * he[k]
+        grad, u_pow = np.zeros((4, 3)), np.ones_like(U)
+        for k in range(order - 1, -1, -1):
+            grad += math.comb(order - 1, k) * he[k][..., 0] * u_pow.mean(axis=-1)
+            u_pow = u_pow * U
+        spec = hermite_objective(order, dims=3)
+        assert np.array_equal(spec.value_mean(X, U), acc.sum(axis=-2))
+        assert np.array_equal(spec.grad_mean(X, U), order * grad)
 
     def test_order_validated(self):
         with pytest.raises(ValueError):
@@ -188,6 +204,20 @@ class TestExpectedGradients:
         )
         ref = 3.0 * ((mu_u + mu_x) ** 2 + var_u + var_x - 1.0)
         assert np.abs(out - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full"])
+    def test_distributional_variant_is_one_member_at_the_x_mean(self, kind):
+        # u + x ~ N(mu_u + mu_x, var_u + var_x): the conditional oracle at the
+        # one x-member mu_x under the summed variances, bit for bit
+        g = rng(11)
+        u_cov, x_cov = cov_of_kind(kind, 0.26)[0], cov_of_kind(kind, 0.25)[0]
+        u_spec = GaussianSpec(g.standard_normal(3), u_cov)
+        x_spec = GaussianSpec(g.standard_normal(3), x_cov)
+        var = lambda cov: np.diag(cov) if np.ndim(cov) == 2 else np.broadcast_to(cov, (3,))
+        summed = GaussianSpec(u_spec.mean, var(u_cov) + var(x_cov))
+        for order in range(7):
+            assert np.array_equal(hermite_expected_grad_dist(order, x_spec, u_spec),
+                                  hermite_expected_grad(order, x_spec.mean[:, None], summed))
 
     def test_order_zero_is_zero(self):
         out = hermite_expected_grad(0, np.zeros((2, 3)), GaussianSpec(np.zeros(2), 1.0))

@@ -52,6 +52,12 @@ class TestDraws:
         l = GaussianSpec(np.zeros(2), cov=full).factor()
         assert np.allclose(l @ l.T, full)
 
+    def test_variances_of_each_cov_shape(self):
+        full = np.array([[2.0, 0.3, 0.0], [0.3, 0.5, -0.1], [0.0, -0.1, 1.5]])
+        for cov, want in ((0.25, np.full(3, 0.25)), (np.diag(full), np.diag(full)),
+                          (full, np.diag(full))):
+            assert np.array_equal(GaussianSpec(SPEC3.mean, cov).variances, want)
+
     def test_semidefinite_cov_ok_indefinite_raises(self):
         psd = np.array([[1.0, 1.0], [1.0, 1.0]])
         l = GaussianSpec(np.zeros(2), cov=psd).factor()
