@@ -203,7 +203,7 @@ class Batch:
         def compute():
             U = self.U.members
             g = np.moveaxis(U.reshape(U.shape[:-1] + (self.X.n, nm)), -2, -3)
-            return g - g.mean(axis=-1, keepdims=True)
+            return g - g.sum(axis=-1, keepdims=True) / nm
 
         return self.once(("anomalies", nm), compute, shared=True)
 
@@ -239,7 +239,7 @@ def _plain_lls(b, spec, lambdas):
 
 
 def _fragile(b, spec, lambdas):
-    row = b.once("fragile", lambda: b.obj.pairs(b.X.members.mean(axis=-1, keepdims=True),
+    row = b.once("fragile", lambda: b.obj.pairs(b.X.members.sum(axis=-1, keepdims=True) / b.X.n,
                                                  b.U.members))
     return _regress("fragile", row, b, spec, lambdas), b.U.n, 0
 
@@ -275,7 +275,7 @@ def _decorr(b, spec, lambdas):
 
     def compute():
         base = b.baseline()
-        return decorrelate(b.U, base - base.mean(axis=-1, keepdims=True)), {}
+        return decorrelate(b.U, base - base.sum(axis=-1, keepdims=True) / b.X.n), {}
 
     # the decorrelated controls depend on the objective, so their SVD goes
     # into the inner Batch's own memo, never into `b`'s shared one
@@ -292,7 +292,7 @@ def _two_sided(b, spec, lambdas):
 
     def pair_diffs():
         diff = b.U.members[..., 0::2] - b.U.members[..., 1::2]
-        if np.any(np.linalg.norm(diff, axis=-2) == 0.0):
+        if np.any((diff * diff).sum(axis=-2) == 0.0):  # a zero norm
             raise DegenerateEnsembleError("two_sided: some pair has v == w")
         return diff
 

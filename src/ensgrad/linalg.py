@@ -36,20 +36,32 @@ def svd(a):
     return np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
 
 
+def _damped(s, s1, lam):
+    return s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
+
+
+def _truncated(s, s1):
+    return np.divide(1.0, s, out=np.zeros(s.shape), where=s > RANK_RTOL * s1)
+
+
 def damp(s, lambdas):
     """Damped reciprocals of singular values s (..., k) at every lambda,
     (L, ..., k): `s/(s^2 + (lam*s1)^2)`, or at `lam=0` the Moore-Penrose
     reciprocals with values below `RANK_RTOL*s1` truncated; each lambda
-    computes only its own branch. A zero spectrum gives zeros."""
-    lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
+    computes only its own branch. A zero spectrum gives zeros. One lambda,
+    as every `estimate()` call asks, is a Python float: numpy's array
+    set-up for a grid would cost more than the arithmetic."""
     s1 = s[..., :1]
+    if len(lambdas) == 1:
+        lam = float(lambdas[0])
+        return (_damped(s, s1, lam) if lam else _truncated(s, s1))[None]
+    lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
     if np.count_nonzero(lam) == len(lam):
-        return s / np.maximum(s**2 + (lam * s1) ** 2, _TINY)
-    out = np.repeat(np.divide(1.0, s, out=np.zeros(s.shape), where=s > RANK_RTOL * s1)[None],
-                    len(lam), axis=0)
+        return _damped(s, s1, lam)
+    out = np.repeat(_truncated(s, s1)[None], len(lam), axis=0)
     nz = np.flatnonzero(lam)
     if nz.size:  # the nonzero lambdas, in one broadcast
-        out[nz] = s / np.maximum(s**2 + (lam[nz] * s1) ** 2, _TINY)
+        out[nz] = _damped(s, s1, lam[nz])
     return out
 
 

@@ -170,7 +170,7 @@ def _member_means(order, X):
     """`mean_m He_k(x_m)` for k = 0..order, (order+1, ..., d, 1)."""
     out = np.ones((order + 1,) + X.shape[:-1] + (1,))
     for k, h in zip(range(1, order + 1), _hermite_terms(X, 1.0)):
-        out[k] = h.mean(axis=-1, keepdims=True)
+        out[k] = h.sum(axis=-1, keepdims=True) / X.shape[-1]
     return out
 
 
@@ -198,7 +198,7 @@ def hermite_objective(order, dims=5):
         grad = np.zeros(np.broadcast_shapes(X.shape[:-1], U.shape[:-1]))
         u_pow = np.ones_like(U)
         for k in range(order - 1, -1, -1):
-            grad += math.comb(order - 1, k) * he[k] * u_pow.mean(axis=-1)
+            grad += math.comb(order - 1, k) * he[k] * (u_pow.sum(axis=-1) / U.shape[-1])
             u_pow = u_pow * U
         return order * grad
 

@@ -13,7 +13,7 @@ trial, so no trial builds its own SeedSequence or Generator.
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class GaussianSpec:
         """The per-dimension variances, (d,): the covariance's diagonal."""
         if np.isscalar(self.cov):
             return np.full(self.dim, float(self.cov))
+        if self.cov.shape != (self.dim,) * self.cov.ndim:
+            raise DimensionError(f"covariance shape {self.cov.shape} does not match dim {self.dim}")
         return self.cov if self.cov.ndim == 1 else np.diag(self.cov)
 
     def factor(self):
@@ -101,7 +103,7 @@ class Ensemble:
     @property
     def anomalies(self):
         """Members minus their column-sample mean."""
-        return self.members - self.members.mean(axis=-1, keepdims=True)
+        return self.members - self.members.sum(axis=-1, keepdims=True) / self.n
 
 
 def child_seed(base_seed, *key):
@@ -235,8 +237,9 @@ def recenter(e):
         )
     if e.recentred:
         return e
-    shift = e.true_mean - e.members.mean(axis=-1)
-    return replace(e, members=e.members + shift[..., None], recentred=True)
+    shift = e.true_mean - e.members.sum(axis=-1) / e.n
+    return Ensemble(members=e.members + shift[..., None], true_mean=e.true_mean, recentred=True,
+                    note=e.note)
 
 
 def mirror(e):
@@ -266,15 +269,15 @@ def decorrelate(e, psi):
     if psi.shape != e.members.shape[:-2] + (e.n,):
         raise DimensionError(
             f"psi has shape {psi.shape}, expected {e.members.shape[:-2] + (e.n,)}")
-    psi = psi - psi.mean(axis=-1, keepdims=True)  # contract is a centred row; harmless repeat
+    psi = psi - psi.sum(axis=-1, keepdims=True) / e.n  # contract is a centred row; harmless repeat
     nrm2 = psi[..., None, :] @ psi[..., :, None]  # (..., 1, 1)
     zero = nrm2 == 0.0
 
     a0 = e.members - e.true_mean[:, None]  # anomalies (sample mean == mu)
     a1 = a0 - (a0 @ psi[..., None]) * psi[..., None, :] / np.where(zero, 1.0, nrm2)
     # psi is centred, so row means are untouched; rescale row spreads back.
-    s0 = np.linalg.norm(a0, axis=-1)
-    s1 = np.linalg.norm(a1, axis=-1)
+    s0 = np.sqrt((a0 * a0).sum(axis=-1))  # np.linalg.norm's own formula
+    s1 = np.sqrt((a1 * a1).sum(axis=-1))
     collapsed = (s1 <= COLLAPSE_RTOL * s0) & (s0 > 0.0)
     scale = np.where(collapsed | (s0 == 0.0), 1.0, s0 / np.where(s1 > 0, s1, 1.0))
     members = np.where(zero, e.members, e.true_mean[:, None] + a1 * scale[..., None])

@@ -17,7 +17,7 @@ from ensgrad.estimators import (
     estimate_batch,
 )
 from ensgrad.harness import DEFAULT_LAMBDAS
-from ensgrad.linalg import PinvConfig, sample_cross_cov, svd, tikhonov_pinv
+from ensgrad.linalg import PinvConfig, damp, sample_cross_cov, svd, tikhonov_pinv
 from ensgrad.objectives import (
     ObjectiveSpec,
     bilinear_grad,
@@ -538,6 +538,34 @@ class TestSharedMemo:
                        EstimatorSpec(kind="paired"), self.GRID)
         _, s, _ = shared[("svd", "U")]
         assert np.array_equal(s, svd(U.anomalies)[1])
+
+
+class TestOneLambda:
+    """`estimate()` asks `damp` for one lambda, which it takes as a float on a
+    branch of its own; that branch gives the bits of the grid's row."""
+
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("precondition", [False, True], ids=["plain", "preconditioned"])
+    def test_estimate_is_its_row_of_the_grid(self, n, precondition):
+        x, u = draw_xu(44, n=n)
+        vw = recenter(draw_ensemble(U_SPEC, 2 * n, child_seed(44, 2)))
+        obj = hermite_objective(3, dims=D)
+        for kind in ESTIMATOR_IDS:
+            ens = vw if kind in SUBSAMPLED_IDS else u
+            grid = estimate_batch(Batch(obj, x, ens), spec_for(kind, precondition=precondition),
+                                  DEFAULT_LAMBDAS)[0]
+            for row, lam in zip(grid, DEFAULT_LAMBDAS):
+                got = estimate(obj, x, ens, spec_for(kind, lam, precondition=precondition))
+                assert np.array_equal(got.grad, row), (kind, lam)
+
+    @pytest.mark.parametrize("s", [np.array([3.0, 1.0, 2e-12, 1e-13, 0.0, 0.0]),
+                                   np.array([[2.0, 1.0, 0.5], [0.0, 0.0, 0.0]]),
+                                   np.array([[1.0, 1e-300], [1e-300, 1e-301]])],
+                             ids=["zero-tail", "zero-row", "1e-300"])
+    def test_damp_one_lambda_is_its_row_of_the_grid(self, s):
+        grid = damp(s, DEFAULT_LAMBDAS)
+        for row, lam in zip(grid, DEFAULT_LAMBDAS):
+            assert np.array_equal(damp(s, (lam,))[0], row), lam
 
 
 class TestPreconditioned:

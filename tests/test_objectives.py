@@ -1,6 +1,7 @@
 """Objective values, analytic gradients, and expected-gradient oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestHermiteValues:
         # h_{k+1} = t h_k - k shrink h_{k-1} from h_0 = 1 and h_1 = t, every
         # step computed as written: a shortcut in the recurrence must keep its bits
         def textbook(order, t, shrink):
-            h_prev, h = np.ones_like(t), t.copy()
+            h_prev, h = np.ones_like(t), t.copy(order="K")  # in t's own layout
             if order == 0:
                 return h_prev
             for k in range(1, order):
@@ -103,19 +104,23 @@ class TestHermiteValues:
                    else np.zeros((4, 3)))
             assert np.array_equal(hermite_expected_grad(order, x, spec), ref)
         # the table means: the binomial sums, Horner's in u for the values and
-        # powers of u for the gradient, fed textbook He_k member means
-        X, U = g.standard_normal((4, 3, 6)) * 2.0, g.standard_normal((4, 3, 5))
-        he = [textbook(k, X, 1.0).mean(axis=-1, keepdims=True) for k in range(order + 1)]
-        acc = he[0] * np.ones_like(U)
-        for k in range(1, order + 1):
-            acc = acc * U + math.comb(order, k) * he[k]
-        grad, u_pow = np.zeros((4, 3)), np.ones_like(U)
-        for k in range(order - 1, -1, -1):
-            grad += math.comb(order - 1, k) * he[k][..., 0] * u_pow.mean(axis=-1)
-            u_pow = u_pow * U
+        # powers of u for the gradient, fed textbook He_k member means; on
+        # stacked draws, and on the transposed (d, M) layout that
+        # read_ensemble_csv returns, with enough members for numpy to sum a
+        # strided row otherwise than a contiguous one
         spec = hermite_objective(order, dims=3)
-        assert np.array_equal(spec.value_mean(X, U), acc.sum(axis=-2))
-        assert np.array_equal(spec.grad_mean(X, U), order * grad)
+        for X, U in ((g.standard_normal((4, 3, 6)) * 2.0, g.standard_normal((4, 3, 5))),
+                     (g.standard_normal((20, 3)).T * 2.0, g.standard_normal((24, 3)).T)):
+            he = [textbook(k, X, 1.0).mean(axis=-1, keepdims=True) for k in range(order + 1)]
+            acc = he[0] * np.ones_like(U)
+            for k in range(1, order + 1):
+                acc = acc * U + math.comb(order, k) * he[k]
+            grad, u_pow = np.zeros(X.shape[:-1]), np.ones_like(U)
+            for k in range(order - 1, -1, -1):
+                grad += math.comb(order - 1, k) * he[k][..., 0] * u_pow.mean(axis=-1)
+                u_pow = u_pow * U
+            assert np.array_equal(spec.value_mean(X, U), acc.sum(axis=-2))
+            assert np.array_equal(spec.grad_mean(X, U), order * grad)
 
     def test_order_validated(self):
         with pytest.raises(ValueError):
@@ -218,6 +223,16 @@ class TestExpectedGradients:
         for order in range(7):
             assert np.array_equal(hermite_expected_grad_dist(order, x_spec, u_spec),
                                   hermite_expected_grad(order, x_spec.mean[:, None], summed))
+
+    @pytest.mark.parametrize("cov", [np.array([0.5]), np.ones((2, 2))], ids=["diag-1", "full-2"])
+    def test_covariance_of_another_dim_rejected(self, cov):
+        # one variance for three dims used to be broadcast to all three
+        msg = re.escape(f"covariance shape {cov.shape} does not match dim 3")
+        with pytest.raises(DimensionError, match=msg):
+            hermite_expected_grad(3, np.zeros((3, 4)), GaussianSpec(np.zeros(3), cov))
+        with pytest.raises(DimensionError, match=msg):
+            hermite_expected_grad_dist(3, GaussianSpec(np.ones(3), 0.25),
+                                       GaussianSpec(np.zeros(3), cov))
 
     def test_order_zero_is_zero(self):
         out = hermite_expected_grad(0, np.zeros((2, 3)), GaussianSpec(np.zeros(2), 1.0))

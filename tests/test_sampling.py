@@ -1,5 +1,6 @@
 """Ensemble draws, reshaping, and the decorrelation transform."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ensgrad.errors import DimensionError, InsufficientSampleError
 from ensgrad.sampling import (
+    COLLAPSE_RTOL,
     Ensemble,
     GaussianSpec,
     child_seed,
@@ -57,6 +59,13 @@ class TestDraws:
         for cov, want in ((0.25, np.full(3, 0.25)), (np.diag(full), np.diag(full)),
                           (full, np.diag(full))):
             assert np.array_equal(GaussianSpec(SPEC3.mean, cov).variances, want)
+
+    @pytest.mark.parametrize("cov", [np.array([0.5]), np.ones((2, 2)), np.ones((3, 2))],
+                             ids=["diag-1", "full-2", "full-3x2"])
+    def test_variances_reject_a_covariance_of_another_dim(self, cov):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"covariance shape {cov.shape} does not match dim 3")):
+            GaussianSpec(SPEC3.mean, cov).variances
 
     def test_semidefinite_cov_ok_indefinite_raises(self):
         psd = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -184,6 +193,64 @@ class TestDecorrelate:
         e = self._ens()
         with pytest.raises(DimensionError):
             decorrelate(e, np.zeros(e.n + 1))
+
+
+# Ensemble.anomalies, recenter and decorrelate as written with numpy's `mean`
+# and `linalg.norm`. The package calls the ufuncs under those wrappers
+# directly (a sum, then a divide by the count; the root of a sum of squares),
+# which must leave every bit where the wrappers put it.
+
+
+def anomalies_by_mean(e):
+    return e.members - e.members.mean(axis=-1, keepdims=True)
+
+
+def recenter_by_mean(e):
+    return e.members + (e.true_mean - e.members.mean(axis=-1))[..., None]
+
+
+def decorrelate_by_norm(e, psi):
+    psi = psi - psi.mean(axis=-1, keepdims=True)
+    nrm2 = psi[..., None, :] @ psi[..., :, None]
+    zero = nrm2 == 0.0
+    a0 = e.members - e.true_mean[:, None]
+    a1 = a0 - (a0 @ psi[..., None]) * psi[..., None, :] / np.where(zero, 1.0, nrm2)
+    s0, s1 = np.linalg.norm(a0, axis=-1), np.linalg.norm(a1, axis=-1)
+    collapsed = (s1 <= COLLAPSE_RTOL * s0) & (s0 > 0.0)
+    scale = np.where(collapsed | (s0 == 0.0), 1.0, s0 / np.where(s1 > 0, s1, 1.0))
+    return np.where(zero, e.members, e.true_mean[:, None] + a1 * scale[..., None])
+
+
+def stacked_draws(n, seed, k):
+    members = [draw_ensemble(SPEC3, n, child_seed(seed, t)).members for t in range(k)]
+    return Ensemble(np.stack(members), SPEC3.mean)
+
+
+class TestWrapperForms:
+    # 12 and 200 members are past the 8 below which numpy's pairwise sum is
+    # a plain loop, and 200 past its 128-wide blocks
+    @pytest.mark.parametrize("n", [3, 12, 200])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_anomalies_and_recenter(self, n, stacked):
+        e = stacked_draws(n, 15, k=4) if stacked else draw_ensemble(SPEC3, n, 15)
+        assert np.array_equal(e.anomalies, anomalies_by_mean(e))
+        assert np.array_equal(recenter(e).members, recenter_by_mean(e))
+
+    @pytest.mark.parametrize("n", [8, 12, 200])
+    def test_decorrelate(self, n):
+        one = recenter(draw_ensemble(SPEC3, n, 16))
+        g = rng_from(17)
+        cases = ((g.standard_normal(n) + 3.0, ""), (np.zeros(n), "psi-zero"),
+                 (one.members[0] - one.true_mean[0], "rank-collapse"))
+        for psi, note in cases:
+            out = decorrelate(one, psi)
+            assert out.note == note
+            assert np.array_equal(out.members, decorrelate_by_norm(one, psi))
+        stack = recenter(stacked_draws(n, 16, k=3))
+        psi = np.stack([g.standard_normal(n), np.zeros(n), stack.members[2, 1] - SPEC3.mean[1]])
+        out = decorrelate(stack, psi)
+        assert out.note == "rank-collapse"
+        assert np.array_equal(out.members, decorrelate_by_norm(stack, psi))
 
 
 # the two layouts of the CSV readers: (reader, the text before the first row)

@@ -13,7 +13,14 @@ per tree:
   one block per cell, on 1 and on 2 workers; and at 90 trials and seed 11,
   three blocks per cell;
 - the SHA-256 of `results.csv` and `best_lambda.csv` written by `ensgrad
-  bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG.
+  bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG;
+- `estimate-t1`, the SHA-256 of one-trial `estimate()` calls, the path an
+  optimisation loop takes and `run_bench` does not: the members that
+  `draw_ensemble` and `recenter` draw from `child_seed` streams, and every
+  estimator's gradient at each default lambda, plain and preconditioned,
+  through a plain `ObjectiveSpec` and through a `CountingObjective` (one per
+  step, so a lambda sweep reuses its memo), for Hermite orders 2, 3 and 5
+  at N of 5, 20 and 100.
 It exits 0 when every digest is equal, 1 naming each run whose digest
 differs, and 2 when a tree could not be run. Unlike the hard-coded pins of
 the test suite, which hold only on the platform they were recorded on, this
@@ -47,6 +54,38 @@ def pin_cfg():
     raise LookupError("tests/test_cli.py has no PIN_CFG")
 
 
+def one_trial_sha256():
+    """`estimate-t1`: the SHA-256 of one-trial draws and `estimate()` calls."""
+    import numpy as np
+
+    from ensgrad.estimators import (ESTIMATOR_IDS, SUBSAMPLED_IDS, CountingObjective,
+                                    EstimatorSpec, estimate)
+    from ensgrad.harness import DEFAULT_LAMBDAS
+    from ensgrad.linalg import PinvConfig
+    from ensgrad.objectives import hermite_objective
+    from ensgrad.sampling import GaussianSpec, child_seed, draw_ensemble, recenter
+
+    dims = 5
+    x_spec = GaussianSpec(np.linspace(-2.0, 2.0, dims), np.linspace(0.1, 0.5, dims))
+    u_spec = GaussianSpec(np.zeros(dims), 0.01)
+    h = hashlib.sha256()
+    for step, (order, n) in enumerate((o, n) for o in (2, 3, 5) for n in (5, 20, 100)):
+        x = draw_ensemble(x_spec, n, child_seed(7, step, 0))
+        u = recenter(draw_ensemble(u_spec, n, child_seed(7, step, 1)))
+        vw = recenter(draw_ensemble(u_spec, 2 * n, child_seed(7, step, 2)))
+        for e in (x, u, vw):
+            h.update(e.members.tobytes())
+        plain = hermite_objective(order, dims)
+        for obj in (plain, CountingObjective(plain)):
+            for kind in ESTIMATOR_IDS:
+                for precondition in (False, True):
+                    for lam in DEFAULT_LAMBDAS:
+                        spec = EstimatorSpec(kind, PinvConfig(lam), precondition)
+                        got = estimate(obj, x, vw if kind in SUBSAMPLED_IDS else u, spec)
+                        h.update(np.asarray(got.grad, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def digests(cfg_path, out_dir):
     """The digests of this process's `ensgrad`, by run name."""
     from ensgrad.cli import main
@@ -72,6 +111,7 @@ def digests(cfg_path, out_dir):
     for name in ("results.csv", "best_lambda.csv"):
         with open(os.path.join(out_dir, name), "rb") as f:
             got[f"cli-pin-t201-w2 {name}"] = hashlib.sha256(f.read()).hexdigest()
+    got["estimate-t1"] = one_trial_sha256()
     return got
 
 
