@@ -276,64 +276,42 @@ def _cmd_linear_check(args):
 def _values_objective(u_members, values, mu, mean_values):
     """Objective backed by a precomputed value matrix: one column per
     control, one row per x-member (a single row serves the estimators that
-    evaluate each control once). Lookups are by exact column identity, so
-    only the provided controls (and the mean, when mean values are given)
-    can be evaluated."""
-    index = {}
-    for j in range(u_members.shape[1]):
-        pos = index.setdefault(u_members[:, j].tobytes(), j)
-        if pos != j:  # a lookup by value cannot tell equal controls apart
-            raise DimensionError(f"--ensemble-u rows {pos + 1} and {j + 1} under the header hold "
-                                 "the same member; --values needs distinct controls")
+    evaluate each control once). Values are read by position, so only the
+    provided control ensemble, as a whole, and the mean (when mean values
+    are given) can be evaluated."""
     row_mode = values.shape[0] == 1
 
-    def lookup_idx(U):
-        idx = []
-        for j in range(U.shape[1]):
-            pos = index.get(np.ascontiguousarray(U[:, j]).tobytes())
-            if pos is None:
-                raise DimensionError(
-                    "this estimator evaluates controls outside the provided "
-                    "ensemble; supply --objective instead of --values"
-                )
-            idx.append(pos)
-        return np.array(idx, dtype=int)
+    def check_controls(U):
+        if not np.array_equal(U, u_members):
+            raise DimensionError("this estimator evaluates controls outside the provided "
+                                 "ensemble; supply --objective instead of --values")
 
     def value_pairs(X, U):
         if U.shape[1] == 1 and np.array_equal(U[:, 0], mu):
             if mean_values is None:
-                raise DimensionError(
-                    "this estimator needs values at the mean control; pass --mean-values"
-                )
+                raise DimensionError("this estimator needs values at the mean control; "
+                                     "pass --mean-values")
             if mean_values.shape[0] != X.shape[1]:
-                raise DimensionError(
-                    f"--mean-values has {mean_values.shape[0]} entries, "
-                    f"expected one per x-member ({X.shape[1]})"
-                )
+                raise DimensionError(f"--mean-values has {mean_values.shape[0]} entries, "
+                                     f"expected one per x-member ({X.shape[1]})")
             return mean_values
-        idx = lookup_idx(U)
+        check_controls(U)
         if row_mode:
-            return values[0, idx]
+            return values[0]
         if X.shape[1] == 1:
-            raise DimensionError(
-                f"values table has {values.shape[0]} rows, the request "
-                "covers 1 x-member"
-            )
+            raise DimensionError(f"values table has {values.shape[0]} rows, the request "
+                                 "covers 1 x-member")
         if values.shape[0] != values.shape[1]:
-            raise DimensionError(
-                "per-pair evaluations need a single-row values file or a "
-                f"square table, got shape {values.shape}"
-            )
-        return values[idx, idx]
+            raise DimensionError("per-pair evaluations need a single-row values file or a "
+                                 f"square table, got shape {values.shape}")
+        return values.diagonal().copy()
 
     def value_mean(X, U):
-        idx = lookup_idx(U)
+        check_controls(U)
         if row_mode:
-            raise DimensionError(
-                "this estimator needs the full M-by-N value table, "
-                "got a single row"
-            )
-        return values[:, idx].mean(axis=0)
+            raise DimensionError("this estimator needs the full M-by-N value table, "
+                                 "got a single row")
+        return values.mean(axis=0)
 
     return ObjectiveSpec(name="values", value=None, value_pairs=value_pairs,
                          value_mean=value_mean)

@@ -13,7 +13,7 @@ trial, so no trial builds its own SeedSequence or Generator.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,55 +26,60 @@ COLLAPSE_RTOL = 1e-9
 @dataclass(frozen=True)
 class GaussianSpec:
     """Mean vector plus covariance given as a scalar, a diagonal vector, or
-    a full (d, d) matrix."""
+    a full (d, d) matrix, read once when the spec is built: a covariance of
+    another dim than the mean, a negative or an indefinite one raises there.
+    `variances` (d,) is its diagonal; it, `factor()` and an array `cov` are
+    read-only."""
 
     mean: np.ndarray
     cov: object = 1.0
+    variances: np.ndarray = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
-        cov = self.cov
-        if not np.isscalar(cov):
-            cov = np.asarray(cov, dtype=float)
+        mean = np.atleast_1d(np.asarray(self.mean, float))
+        d, cov = mean.size, self.cov
+        if np.isscalar(cov):
+            if cov < 0:
+                raise np.linalg.LinAlgError("negative covariance scale")
+            factor, variances = np.sqrt(float(cov)) * np.eye(d), np.full(d, float(cov))
+        else:
+            cov = np.array(cov, dtype=float)
             if cov.ndim not in (1, 2):
                 raise DimensionError(f"covariance must be scalar, 1-D or 2-D, got {cov.ndim}-D")
-            object.__setattr__(self, "cov", cov)
+            if cov.shape != (d,) * cov.ndim:
+                raise DimensionError(f"covariance shape {cov.shape} does not match dim {d}")
+            cov.flags.writeable = False
+            if cov.ndim == 1:
+                if np.any(cov < 0):
+                    raise np.linalg.LinAlgError(f"invalid diagonal covariance {cov}")
+                factor, variances = np.diag(np.sqrt(cov)), cov
+            else:
+                factor, variances = _full_factor(cov), np.diag(cov)
+        factor.flags.writeable = variances.flags.writeable = False
+        for name, value in zip(("mean", "cov", "variances", "_factor"),
+                               (mean, cov, variances, factor)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):
         return self.mean.size
 
-    @property
-    def variances(self):
-        """The per-dimension variances, (d,): the covariance's diagonal."""
-        if np.isscalar(self.cov):
-            return np.full(self.dim, float(self.cov))
-        if self.cov.shape != (self.dim,) * self.cov.ndim:
-            raise DimensionError(f"covariance shape {self.cov.shape} does not match dim {self.dim}")
-        return self.cov if self.cov.ndim == 1 else np.diag(self.cov)
-
     def factor(self):
-        """A (d, d) matrix L with L L^T = cov. Cholesky when positive
+        """The (d, d) matrix L with L L^T = cov: Cholesky when positive
         definite, symmetric eigendecomposition for the merely semidefinite
-        case; genuinely indefinite covariances raise LinAlgError."""
-        d = self.dim
-        if np.isscalar(self.cov):
-            if self.cov < 0:
-                raise np.linalg.LinAlgError("negative covariance scale")
-            return np.sqrt(float(self.cov)) * np.eye(d)
-        if self.cov.ndim == 1:
-            if self.cov.shape != (d,) or np.any(self.cov < 0):
-                raise np.linalg.LinAlgError(f"invalid diagonal covariance {self.cov}")
-            return np.diag(np.sqrt(self.cov))
-        if self.cov.shape != (d, d):
-            raise DimensionError(f"covariance shape {self.cov.shape} does not match dim {d}")
-        try:
-            return np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(self.cov)
-            if np.min(w) < -1e-12 * max(1.0, np.max(np.abs(w))):
-                raise np.linalg.LinAlgError("covariance is not positive semidefinite")
-            return v * np.sqrt(np.clip(w, 0.0, None))
+        case."""
+        return self._factor
+
+
+def _full_factor(cov):
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        if np.min(w) < -1e-12 * max(1.0, np.max(np.abs(w))):
+            raise np.linalg.LinAlgError("covariance is not positive semidefinite")
+        return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -339,10 +344,11 @@ def read_values_csv(path):
 
 
 def read_ensemble_csv(path):
-    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix."""
+    """Inverse of `write_ensemble_csv`; returns the (d, N) member matrix,
+    C-ordered like a drawn ensemble's."""
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
         if not header or any(h != f"dim_{i}" for i, h in enumerate(header)):
             raise DimensionError(f"{path}: expected a dim_0,...,dim_k header, got {header}")
-        return _read_rows(path, r, len(header), "one member per row under the header").T
+        return _read_rows(path, r, len(header), "one member per row under the header").T.copy()

@@ -14,11 +14,12 @@ import pytest
 
 from ensgrad import __version__
 from ensgrad.cli import main
-from ensgrad.estimators import EstimatorSpec, estimate
+from ensgrad.estimators import ESTIMATOR_IDS, SUBSAMPLED_IDS, EstimatorSpec, estimate
 from ensgrad.harness import (BenchConfig, RESULTS_HEADER, TRAJECTORY_HEADER, aggregate,
                              read_results_csv, run_bench, select_best_lambda)
 from ensgrad.objectives import hermite_objective
-from ensgrad.sampling import Ensemble, write_ensemble_csv
+from ensgrad.sampling import (Ensemble, GaussianSpec, draw_ensemble, recenter,
+                              write_ensemble_csv)
 
 BENCH_CFG = {
     "base_seed": 99,
@@ -797,15 +798,37 @@ class TestGradient:
         write_ensemble_csv(x_csv, x)
         return u, x, u_csv, x_csv
 
-    def test_repeated_member_rejected_with_values(self, tmp_path, capsys):
-        # a value lookup by control cannot tell the two copies apart
+    def test_repeated_member_runs_with_values(self, tmp_path, capsys):
+        # values are read by position: each copy gets its own column's value
         u, x, u_csv, x_csv = self.repeated_member(tmp_path)
-        table = ((x.T[:, :, None] + u[None]) ** 3).sum(axis=1)  # sum((x_m + u_n)^3)
-        vals = write_values(tmp_path / "vals.csv", table)
-        rc, out, err = run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv,
-                           "--values", vals, "--estimator", "paired")
+        obj = hermite_objective(3, 2)
+        vals = write_values(tmp_path / "vals.csv", [obj.pairs(x[:, [m]], u) for m in range(6)])
+        got = [run(capsys, "gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv, *source,
+                   "--estimator", "paired") for source in (("--values", vals),
+                                                           ("--objective", "hermite3"))]
+        assert got[0][0] == 0, got[0][2]
+        assert got[0][1] == got[1][1]
+
+    @pytest.mark.parametrize("estimator", ["mirrored2s", "decorr"])
+    def test_antithetic_controls_are_not_looked_up(self, tmp_path, capsys, estimator):
+        # the reflected controls v1, -v1, ... are the ensemble's own members
+        # in another order, which a positional value table cannot serve
+        rng = np.random.default_rng(23)
+        v = rng.normal(size=(2, 3))
+        u = np.stack([v, -v], axis=-1).reshape(2, 6)
+        x = rng.normal(size=(2, 6))
+        u_csv, x_csv = tmp_path / "u.csv", tmp_path / "x.csv"
+        write_ensemble_csv(u_csv, u)
+        write_ensemble_csv(x_csv, x)
+        obj = hermite_objective(3, 2)
+        vals = write_values(tmp_path / "vals.csv", [obj.pairs(x[:, [m]], u) for m in range(6)])
+        mv = write_values(tmp_path / "mv.csv", obj.pairs(x, np.zeros((2, 1))))
+        common = ("gradient", "--ensemble-u", u_csv, "--ensemble-x", x_csv, "--mean-u", "0,0",
+                  "--estimator", estimator)
+        rc, out, err = run(capsys, *common, "--values", vals, "--mean-values", mv)
         assert rc == 2 and out == ""
-        assert "rows 1 and 2" in err
+        assert "outside the provided ensemble; supply --objective" in err
+        assert run(capsys, *common, "--objective", "hermite3")[0] == 0
 
     def test_repeated_member_runs_with_objective(self, tmp_path, capsys):
         u, x, u_csv, x_csv = self.repeated_member(tmp_path)
@@ -816,6 +839,49 @@ class TestGradient:
                             Ensemble(u, u.mean(axis=1), recentred=True),
                             EstimatorSpec(kind="paired")).grad
         np.testing.assert_allclose(parse_grad(out), expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def drawn_files(tmp_path):
+        """3 x 20 x-members and recentred controls, plus 40 pooled controls,
+        drawn as the library draws them and written to CSV."""
+        spec = GaussianSpec(np.zeros(3), 0.25)
+        x = draw_ensemble(GaussianSpec(np.linspace(-1.0, 1.0, 3), 0.25), 20, 61)
+        u = {n: recenter(draw_ensemble(spec, n, 62 + n)) for n in (20, 40)}
+        for name, e in (("x", x), ("u20", u[20]), ("u40", u[40])):
+            write_ensemble_csv(tmp_path / f"{name}.csv", e.members)
+        return Ensemble(x.members, x.members.mean(axis=1)), u
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
+    def test_objective_prints_the_library_bits(self, tmp_path, capsys, estimator):
+        x, u = self.drawn_files(tmp_path)
+        n = 40 if estimator in SUBSAMPLED_IDS else 20
+        rc, out, err = run(capsys, "gradient", "--ensemble-u", tmp_path / f"u{n}.csv",
+                           "--ensemble-x", tmp_path / "x.csv", "--mean-u", "0,0,0",
+                           "--objective", "hermite5", "--estimator", estimator)
+        assert rc == 0, err
+        want = estimate(hermite_objective(5, 3), x, u[n], EstimatorSpec(kind=estimator)).grad
+        assert out == ",".join(repr(float(g)) for g in want) + "\n"
+
+    @pytest.mark.parametrize("estimator", ["paired", "fragile", "stosag", "one_sided",
+                                           "two_sided", "average_lls", "gen_stosag", "hybrid"])
+    def test_values_row_prints_what_the_objective_prints(self, tmp_path, capsys, estimator):
+        # a row of the values at the pairs the estimator requests, and the
+        # values at the mean, give --objective's bytes
+        x, u = self.drawn_files(tmp_path)
+        n = 40 if estimator in SUBSAMPLED_IDS else 20
+        members = x.members
+        if estimator == "fragile":
+            members = x.members.mean(axis=1, keepdims=True)
+        elif estimator in SUBSAMPLED_IDS:
+            members = np.repeat(x.members, 2, axis=1)
+        obj = hermite_objective(5, 3)
+        vals = write_values(tmp_path / "vals.csv", obj.pairs(members, u[n].members))
+        mv = write_values(tmp_path / "mv.csv", obj.pairs(x.members, np.zeros((3, 1))))
+        common = ("gradient", "--ensemble-u", tmp_path / f"u{n}.csv", "--ensemble-x",
+                  tmp_path / "x.csv", "--mean-u", "0,0,0", "--estimator", estimator)
+        rc, out, err = run(capsys, *common, "--values", vals, "--mean-values", mv)
+        assert rc == 0, err
+        assert out == run(capsys, *common, "--objective", "hermite5")[1]
 
     def test_named_objective_avg_grad_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(31)

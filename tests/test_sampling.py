@@ -65,7 +65,7 @@ class TestDraws:
     def test_variances_reject_a_covariance_of_another_dim(self, cov):
         with pytest.raises(DimensionError, match=re.escape(
                 f"covariance shape {cov.shape} does not match dim 3")):
-            GaussianSpec(SPEC3.mean, cov).variances
+            GaussianSpec(SPEC3.mean, cov)
 
     def test_semidefinite_cov_ok_indefinite_raises(self):
         psd = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -73,6 +73,52 @@ class TestDraws:
         assert np.allclose(l @ l.T, psd, atol=1e-12)
         with pytest.raises(np.linalg.LinAlgError):
             GaussianSpec(np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]])).factor()
+
+    @staticmethod
+    def factor_per_call(cov, d):
+        """Each covariance shape's factor formula, computed afresh: the
+        reference for the factor a spec keeps."""
+        if np.isscalar(cov):
+            return np.sqrt(float(cov)) * np.eye(d)
+        cov = np.asarray(cov, dtype=float)
+        if cov.ndim == 1:
+            return np.diag(np.sqrt(cov))
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(cov)
+            return v * np.sqrt(np.clip(w, 0.0, None))
+
+    @pytest.mark.parametrize("cov", [
+        0.25, np.array([0.5, 0.1, 2.0]),
+        np.array([[2.0, 0.3, 0.0], [0.3, 0.5, -0.1], [0.0, -0.1, 1.5]]),
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]]),
+    ], ids=["scalar", "diagonal", "full", "semidefinite"])
+    def test_factor_is_kept_read_only_with_the_per_call_bits(self, cov):
+        spec = GaussianSpec(SPEC3.mean, cov)
+        l = spec.factor()
+        assert l is spec.factor()
+        assert np.array_equal(l, self.factor_per_call(cov, 3))
+        for a in (l, spec.variances):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_array_covariance_is_a_read_only_copy(self):
+        cov = np.array([0.5, 0.1, 2.0])
+        spec = GaussianSpec(SPEC3.mean, cov)
+        cov[0] = 9.0  # the caller's array stays theirs
+        assert spec.cov[0] == 0.5 and spec.variances[0] == 0.5
+        assert not spec.cov.flags.writeable
+
+    @pytest.mark.parametrize("cov,error,msg", [
+        (-1.0, np.linalg.LinAlgError, "negative covariance scale"),
+        (np.array([0.5, -0.1, 2.0]), np.linalg.LinAlgError, "invalid diagonal covariance"),
+        (np.diag([1.0, -1.0, 1.0]), np.linalg.LinAlgError, "not positive semidefinite"),
+        (np.ones((3, 3, 3)), DimensionError, "scalar, 1-D or 2-D, got 3-D"),
+    ], ids=["negative", "negative-diagonal", "indefinite", "3-D"])
+    def test_bad_covariance_raises_when_built(self, cov, error, msg):
+        with pytest.raises(error, match=msg):
+            GaussianSpec(SPEC3.mean, cov)
 
     def test_n_validation(self):
         with pytest.raises(InsufficientSampleError):
@@ -272,6 +318,7 @@ class TestEnsembleCsv:
         back = read_ensemble_csv(path)
         assert np.array_equal(back, members)
         assert np.array_equal(np.signbit(back), np.signbit(members))
+        assert back.flags.c_contiguous  # the layout of a drawn ensemble
         if text is not None:
             assert path.read_text() == text
 
