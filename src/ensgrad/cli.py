@@ -118,10 +118,7 @@ def _cmd_bench(args):
         print(f"invalid benchmark configuration: {e}", file=sys.stderr)
         return 2
 
-    # one run_bench call; a run of one block (<= BLOCK_TRIALS trials) per cell
-    # runs in this process, so a pool starts only for cells of more blocks
     orders, sizes = cfg.hermite_orders, cfg.ensemble_sizes
-    blocks_per_cell = math.ceil(cfg.n_trials / BLOCK_TRIALS)
     printed = []
 
     def cell_done(order, n):
@@ -129,8 +126,8 @@ def _cmd_bench(args):
         print(f"[{len(printed)}/{len(orders) * len(sizes)}] order={order} N={n} done",
               file=sys.stderr)
 
-    res = run_bench(cfg, workers=args.workers if blocks_per_cell > 1 else 1,
-                    blocks_per_cell=blocks_per_cell, progress=cell_done)
+    res = run_bench(cfg, workers=args.workers, progress=cell_done,
+                    blocks_per_cell=math.ceil(cfg.n_trials / BLOCK_TRIALS))
 
     def in_cell_order(items):  # keys (order, N, ...): the configured orders, then sizes
         return sorted(items, key=lambda kv: (orders.index(kv[0][0]), sizes.index(kv[0][1]), kv[0]))
@@ -274,12 +271,13 @@ def _cmd_linear_check(args):
 
 
 def _values_objective(u_members, values, mu, mean_values):
-    """Objective backed by a precomputed value matrix: one column per
-    control, one row per x-member (a single row serves the estimators that
-    evaluate each control once). Values are read by position, so only the
-    provided control ensemble, as a whole, and the mean (when mean values
-    are given) can be evaluated."""
-    row_mode = values.shape[0] == 1
+    """Objective backed by a precomputed value matrix, one column per control
+    and one row per x-member or a single row, read by position: only the
+    provided control ensemble, as a whole, and the mean (with mean values)
+    can be evaluated. Column j's pair value is in row `j * rows // N`, the
+    row of column j's own x-member: the single row, a square table's
+    diagonal, or row m of an M x 2M table for the pair 2m, 2m+1."""
+    rows, n = values.shape
 
     def check_controls(U):
         if not np.array_equal(U, u_members):
@@ -296,19 +294,14 @@ def _values_objective(u_members, values, mu, mean_values):
                                      f"expected one per x-member ({X.shape[1]})")
             return mean_values
         check_controls(U)
-        if row_mode:
-            return values[0]
-        if X.shape[1] == 1:
-            raise DimensionError(f"values table has {values.shape[0]} rows, the request "
-                                 "covers 1 x-member")
-        if values.shape[0] != values.shape[1]:
-            raise DimensionError("per-pair evaluations need a single-row values file or a "
-                                 f"square table, got shape {values.shape}")
-        return values.diagonal().copy()
+        if X.shape[1] < rows:
+            raise DimensionError(f"values table has {rows} rows, the request "
+                                 f"covers {X.shape[1]} x-member")
+        return values[np.arange(n) * rows // n, np.arange(n)]
 
     def value_mean(X, U):
         check_controls(U)
-        if row_mode:
+        if rows == 1:
             raise DimensionError("this estimator needs the full M-by-N value table, "
                                  "got a single row")
         return values.mean(axis=0)
@@ -352,18 +345,11 @@ def _cmd_gradient(args):
         else:
             mu = u_members.mean(axis=1)
 
-        m = n_total // 2 if args.estimator in SUBSAMPLED_IDS else n_total
-        if args.ensemble_x is not None:
+        if args.ensemble_x is not None:  # each estimator checks its member counts
             x_members = read_ensemble_csv(args.ensemble_x)
-            # pooled layouts interleave pairs, so the count must match here;
-            # the paired family checks M == N itself
-            if args.estimator in SUBSAMPLED_IDS and x_members.shape[1] != m:
-                raise DimensionError(
-                    f"--ensemble-x has {x_members.shape[1]} members, "
-                    f"estimator {args.estimator} expects {m}"
-                )
         else:
-            x_members = np.zeros((dims, m))
+            x_members = np.zeros((dims, n_total // 2 if args.estimator in SUBSAMPLED_IDS
+                                  else n_total))
 
         if (args.values is None) == (args.objective is None):
             print("pass exactly one of --values or --objective", file=sys.stderr)

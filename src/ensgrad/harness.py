@@ -390,14 +390,16 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     of all orders at one N and trial range are one task: every order's
     trial t reads the same child stream, so the task draws the ensembles
     once and factors the controls once, and each order runs its estimators
-    on them. `cells[(order, N)]` keeps each block's moments in trial order,
-    80 bytes per block, estimator and lambda at d = 5 (17 MB on the full
-    default grid), and their sums in trial order: the same bits for any
-    `workers` (another split can move the last bits once a block spans
-    several sub-batches). An order that raises fails its (order, N) cell
-    alone; any other exception while an N runs, `progress`'s too, fails all
-    of that N's cells, and a dead worker also renews the pool. A failed cell
-    keeps no estimators or skips, and `failures[(order, N)]` holds its
+    on them. One block per cell makes one task per N, which runs in process
+    whatever `workers` says: a pool would add only its start-up.
+    `cells[(order, N)]` keeps each block's moments in trial order, 80 bytes
+    per block, estimator and lambda at d = 5 (17 MB on the full default
+    grid), and their sums in trial order: the same bits for any `workers`
+    (another split can move the last bits once a block spans several
+    sub-batches). An order that raises fails its (order, N) cell alone; any
+    other exception while an N runs, `progress`'s too, fails all of that N's
+    cells, and a dead worker also renews the pool. A failed cell keeps no
+    estimators or skips, and `failures[(order, N)]` holds its
     `"Type: message"`. `progress(order, N)` is called once per cell, failed
     cells included, as its last block comes back: by N, then by order."""
     import time
@@ -422,7 +424,7 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
             args = [(cfg, n, lo, min(lo + block, cfg.n_trials)) for lo in starts]
             reported = 0  # of this N's orders, in turn
             try:
-                if workers > 1 and pool is None:
+                if workers > 1 and len(starts) > 1 and pool is None:
                     pool = ProcessPoolExecutor(max_workers=workers)
                 parts = pool.map(_run_task, args) if pool else (_run_group(*a) for a in args)
                 for b, group in enumerate(parts):

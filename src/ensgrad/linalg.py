@@ -47,21 +47,18 @@ def _truncated(s, s1):
 def damp(s, lambdas):
     """Damped reciprocals of singular values s (..., k) at every lambda,
     (L, ..., k): `s/(s^2 + (lam*s1)^2)`, or at `lam=0` the Moore-Penrose
-    reciprocals with values below `RANK_RTOL*s1` truncated; each lambda
-    computes only its own branch. A zero spectrum gives zeros. One lambda,
-    as every `estimate()` call asks, is a Python float: numpy's array
-    set-up for a grid would cost more than the arithmetic."""
+    reciprocals with values below `RANK_RTOL*s1` truncated. A grid takes the
+    damped form at every lambda, then the truncated one over the rows of
+    lambda 0. A zero spectrum gives zeros. One lambda, as every `estimate()`
+    call asks, is a Python float: numpy's array set-up for a grid would cost
+    more than the arithmetic."""
     s1 = s[..., :1]
     if len(lambdas) == 1:
         lam = float(lambdas[0])
         return (_damped(s, s1, lam) if lam else _truncated(s, s1))[None]
     lam = np.asarray(lambdas, dtype=float).reshape((-1,) + (1,) * s.ndim)
-    if np.count_nonzero(lam) == len(lam):
-        return _damped(s, s1, lam)
-    out = np.repeat(_truncated(s, s1)[None], len(lam), axis=0)
-    nz = np.flatnonzero(lam)
-    if nz.size:  # the nonzero lambdas, in one broadcast
-        out[nz] = _damped(s, s1, lam[nz])
+    out = _damped(s, s1, lam)
+    np.copyto(out, _truncated(s, s1), where=lam == 0)
     return out
 
 
@@ -127,16 +124,3 @@ def uncentred_cross_cov(values, members, mu):
             f"mean has shape {mu.shape}, expected ({members.shape[0]},)"
         )
     return values @ (members - mu[:, None]).T / n
-
-
-def lls_gradient(values, anomalies, cfg=PinvConfig()):
-    """Regression coefficients `values @ anomalies^+`: the minimum-norm
-    linear least-squares fit of the values onto the anomalies."""
-    values = np.asarray(values, dtype=float)
-    anomalies = np.asarray(anomalies, dtype=float)
-    if values.shape[-1] != anomalies.shape[-1]:
-        raise DimensionError(
-            f"values have {values.shape[-1]} columns but anomalies have "
-            f"{anomalies.shape[-1]}"
-        )
-    return values @ tikhonov_pinv(anomalies, cfg)

@@ -739,7 +739,7 @@ class TestGradient:
                          "--ensemble-x", x_csv, "--values", vals,
                          "--estimator", "two_sided")
         assert rc == 2
-        assert "expects 4" in err
+        assert "2*M = 6" in err and "got 8" in err
 
     def test_exactly_one_value_source(self, tmp_path, capsys):
         u, u_csv = make_u(tmp_path)
@@ -862,11 +862,16 @@ class TestGradient:
         want = estimate(hermite_objective(5, 3), x, u[n], EstimatorSpec(kind=estimator)).grad
         assert out == ",".join(repr(float(g)) for g in want) + "\n"
 
-    @pytest.mark.parametrize("estimator", ["paired", "fragile", "stosag", "one_sided",
-                                           "two_sided", "average_lls", "gen_stosag", "hybrid"])
-    def test_values_row_prints_what_the_objective_prints(self, tmp_path, capsys, estimator):
-        # a row of the values at the pairs the estimator requests, and the
-        # values at the mean, give --objective's bytes
+    @pytest.mark.parametrize("estimator,layout", [
+        (estimator, layout) for layout in ("row", "table")
+        for estimator in ("paired", "fragile", "stosag", "one_sided", "two_sided",
+                          "average_lls", "gen_stosag", "hybrid")
+        if (estimator, layout) != ("fragile", "table")])  # its mean x-member is in no row
+    def test_values_row_prints_what_the_objective_prints(self, tmp_path, capsys, estimator,
+                                                          layout):
+        # a row of the values at the pairs the estimator requests, or the
+        # full table (M x 2M for the subsampled estimators), and the values
+        # at the mean, give --objective's bytes
         x, u = self.drawn_files(tmp_path)
         n = 40 if estimator in SUBSAMPLED_IDS else 20
         members = x.members
@@ -875,7 +880,10 @@ class TestGradient:
         elif estimator in SUBSAMPLED_IDS:
             members = np.repeat(x.members, 2, axis=1)
         obj = hermite_objective(5, 3)
-        vals = write_values(tmp_path / "vals.csv", obj.pairs(members, u[n].members))
+        values = obj.pairs(members, u[n].members)
+        if layout == "table":  # row m: x_m's values at every control
+            values = [obj.pairs(x.members[:, [m]], u[n].members) for m in range(x.n)]
+        vals = write_values(tmp_path / "vals.csv", values)
         mv = write_values(tmp_path / "mv.csv", obj.pairs(x.members, np.zeros((3, 1))))
         common = ("gradient", "--ensemble-u", tmp_path / f"u{n}.csv", "--ensemble-x",
                   tmp_path / "x.csv", "--mean-u", "0,0,0", "--estimator", estimator)

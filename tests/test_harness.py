@@ -323,6 +323,19 @@ class TestRunBench:
                   progress=lambda order, n: calls.append((order, n)))
         assert calls == [(o, n) for n in SMALL.ensemble_sizes for o in SMALL.hermite_orders]
 
+    def test_one_block_per_cell_starts_no_pool(self, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        def no_pool(*a, **kw):
+            raise AssertionError("a pool started for one task per N")
+
+        serial = run_bench(SMALL, blocks_per_cell=1)
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        res = run_bench(SMALL, workers=2, blocks_per_cell=1)
+        assert not res.failures
+        for key, cell in serial.cells.items():
+            assert np.array_equal(res.cells[key].block_sums, cell.block_sums)
+
     def test_list_lambda_grid(self):
         # validate() accepts a list grid, which must run as its tuple does
         as_list = replace(SMALL, lambda_grid=[0.0, 1e-2]).validate()

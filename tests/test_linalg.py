@@ -6,7 +6,6 @@ import pytest
 from ensgrad.errors import InsufficientSampleError
 from ensgrad.linalg import (
     PinvConfig,
-    lls_gradient,
     sample_cross_cov,
     tikhonov_pinv,
     uncentred_cross_cov,
@@ -146,18 +145,18 @@ class TestUncentredCrossCov:
         assert np.abs(out - alpha).max() < 0.02
 
 
-class TestLlsGradient:
+class TestPinvRegression:
     def test_exact_linear_recovery(self):
         u = np.array([[-1.0, 1.0]])
         anoms = u - u.mean(axis=1, keepdims=True)
         values = 3.0 * u[0] + 1.0
-        out = lls_gradient(values, anoms, PinvConfig(0.0))
+        out = values @ tikhonov_pinv(anoms, PinvConfig(0.0))
         assert np.allclose(out, [3.0])
 
     def test_constant_values_zero(self):
         a = rng(9).standard_normal((3, 10))
         anoms = a - a.mean(axis=1, keepdims=True)
-        out = lls_gradient(np.full(10, 2.5), anoms, PinvConfig(0.0))
+        out = np.full(10, 2.5) @ tikhonov_pinv(anoms, PinvConfig(0.0))
         assert np.abs(out).max() < 1e-12
 
     def test_stein_quadratic_near_zero(self):
@@ -166,17 +165,17 @@ class TestLlsGradient:
         n = 100_000
         u = np.random.Generator(np.random.Philox(1234)).standard_normal((1, n))
         anoms = u - u.mean(axis=1, keepdims=True)
-        out = lls_gradient(u[0] ** 2, anoms, PinvConfig(0.0))
+        out = u[0] ** 2 @ tikhonov_pinv(anoms, PinvConfig(0.0))
         assert abs(out[0]) < 3.0 * np.sqrt(15.0 / n)
 
     def test_preconditioning_identity_all_ranks(self):
-        # lls_gradient(F) times the sample covariance == sample_cross_cov(F)
+        # the regression of F times the sample covariance == sample_cross_cov(F)
         for seed, shape, rank in [(0, (3, 9), 3), (1, (5, 4), 3), (2, (4, 12), 2)]:
             g = rng(seed)
             raw = g.standard_normal((shape[0], rank)) @ g.standard_normal((rank, shape[1]))
             anoms = raw - raw.mean(axis=1, keepdims=True)
             f = g.standard_normal(shape[1])
             n = shape[1]
-            lhs = lls_gradient(f, anoms, PinvConfig(0.0)) @ (anoms @ anoms.T / (n - 1))
+            lhs = f @ tikhonov_pinv(anoms, PinvConfig(0.0)) @ (anoms @ anoms.T / (n - 1))
             ref = sample_cross_cov(f, anoms)
             assert np.abs(lhs - ref).max() < 1e-10

@@ -10,10 +10,12 @@ per tree:
 - the stats SHA-256 (`stats_sha256` of the working tree's
   `perfbench/checks.py`, for both trees) of four `run_bench` runs: the
   default grid at 200 trials, one block per cell; at 25 trials and seed 5,
-  one block per cell, on 1 and on 2 workers; and at 90 trials and seed 11,
-  three blocks per cell;
+  one block per cell, on 1 and on 2 workers (`t25-seed5-w2` runs in process
+  too: one block per cell is one task per N, which starts no pool); and at
+  90 trials and seed 11, three blocks per cell;
 - the SHA-256 of `results.csv` and `best_lambda.csv` written by `ensgrad
-  bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG;
+  bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG
+  (`cli-pin-t201-w2`): two blocks per cell, the run that exercises the pool;
 - `estimate-t1`, the SHA-256 of one-trial `estimate()` calls, the path an
   optimisation loop takes and `run_bench` does not: the members that
   `draw_ensemble` and `recenter` draw from `child_seed` streams, and every
