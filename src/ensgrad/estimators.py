@@ -66,14 +66,13 @@ class EstimatorSpec:
 
 @dataclass
 class GradientEstimate:
-    """`grad` is the estimated gradient row of the mean objective. `evals`
+    """One `estimate()` result; its spec names the estimator and damping.
+    `grad` is the estimated gradient row of the mean objective. `evals`
     counts conditional-objective evaluations charged to this estimate
     (analytic gradient calls, for avg_grad); `cached` counts evaluations at
     the mean control that a surrounding optimisation loop already has."""
 
     grad: np.ndarray
-    estimator: str
-    lam: float
     evals: int
     cached: int = 0
 
@@ -148,10 +147,9 @@ class Batch:
     objective and go into `memo`; the SVDs and the subsample anomalies
     depend only on `U` (grouped by the size of `X`) and go into `shared`,
     which Batches of other objectives on the same `X` and `U` may pass too
-    (default: `memo`). Neither
-    memo ever holds a Batch or the objective, so a memo kept by a
-    CountingObjective makes no reference cycle. `objective` is an
-    ObjectiveSpec or a CountingObjective."""
+    (default: `memo`). Neither memo ever holds a Batch or the objective, so
+    a memo kept by a CountingObjective makes no reference cycle. `objective`
+    is an ObjectiveSpec or a CountingObjective."""
 
     def __init__(self, objective, X, U, memo=None, shared=None):
         self.obj, self.X, self.U = objective, X, U
@@ -407,5 +405,4 @@ def estimate(objective, X, U, spec):
     batch = (objective.batch(X, U) if isinstance(objective, CountingObjective)
              else Batch(objective, X, U))
     grads, evals, cached = estimate_batch(batch, spec)
-    return GradientEstimate(grad=grads[0], estimator=spec.kind, lam=spec.pinv.lam,
-                            evals=evals, cached=cached)
+    return GradientEstimate(grad=grads[0], evals=evals, cached=cached)

@@ -23,7 +23,6 @@ Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
 """
 
-import csv
 import math
 import numbers
 import sys
@@ -34,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
 from .estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
@@ -192,23 +190,22 @@ class BenchConfig:
 # a run's cells as these; merging is associative and commutative.
 
 
-class ErrorStats(namedtuple("ErrorStats", "sum_err sum_sq n evals cached")):
-    """Sums of signed errors and of their squares, (d,), over n trials; read-only."""
-
-    __slots__ = ()
-
-    def merge(self, other):
-        """A new record of both records' moments."""
-        if other.evals != self.evals or other.cached != self.cached:
-            raise ValueError("merging stats with different evaluation contracts")
-        return self._replace(sum_err=self.sum_err + other.sum_err,
-                             sum_sq=self.sum_sq + other.sum_sq, n=self.n + other.n)
+# Sums of signed errors and of their squares, (d,), over n trials; read-only.
+ErrorStats = namedtuple("ErrorStats", "sum_err sum_sq n evals cached")
 
 
 def merge_stats(into, other):
-    """Merge `other` into the dict `into`, rebinding its keys to new records; returns `into`."""
+    """Merge `other` into the dict `into`, all or nothing, and return `into`:
+    a key of both is rebound to a new record of both records' moments, a
+    key of `other` alone is added. If any key of both differs in (evals,
+    cached), ValueError is raised before any key is rebound."""
+    if any((into[key].evals, into[key].cached) != (st.evals, st.cached)
+           for key, st in other.items() if key in into):
+        raise ValueError("merging stats with different evaluation contracts")
     for key, st in other.items():
-        into[key] = into[key].merge(st) if key in into else st
+        a = into.get(key)
+        into[key] = st if a is None else ErrorStats(a.sum_err + st.sum_err, a.sum_sq + st.sum_sq,
+                                                     a.n + st.n, a.evals, a.cached)
     return into
 
 
@@ -568,20 +565,6 @@ def write_results_csv(path, rows):
                      for e, order, n, lam, rmse, bias, evals, t in rows)
 
 
-def read_results_csv(path):
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = tuple(next(r))
-        if header != RESULTS_HEADER:
-            raise DimensionError(f"{path}: unexpected header {header}")
-        return [
-            ResultRow(row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4]),
-                      float(row[5]), int(row[6]), int(row[7]))
-            for row in r
-            if row
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap over trial blocks (blocks are iid across trials by construction).
 
@@ -598,10 +581,13 @@ def block_arrays(result, estimator, order, n, lam):
 
 
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):
-    """Percentile bootstrap band for the aggregated metric (`error_metrics`),
-    resampling blocks with replacement."""
+    """Percentile bootstrap band for the aggregated metric (`error_metrics`)
+    from `n_boot` resamples of the blocks with replacement. ValueError for a
+    metric other than "rmse" or "bias", `n_boot` < 1 or no blocks."""
     if metric not in ("rmse", "bias"):
         raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot!r}")
     c = len(ns)
     if c == 0:
         raise ValueError("no blocks to resample")

@@ -48,24 +48,23 @@ def hermite_value(order, t):
     return _scaled_hermite(order, np.asarray(t, dtype=float), 1.0)
 
 
-def hermite_eval(order, x, u):
-    """`sum_i He_order(u_i + x_i)`."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+def _hermite_point(x, u):
+    """`u + x`, the point a Hermite objective reads, of same-shape x and u."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     if x.shape != u.shape:
         raise DimensionError(f"x has shape {x.shape} but u has shape {u.shape}")
-    return float(hermite_value(order, u + x).sum())
+    return u + x
+
+
+def hermite_eval(order, x, u):
+    """`sum_i He_order(u_i + x_i)`."""
+    return float(hermite_value(order, _hermite_point(x, u)).sum())
 
 
 def hermite_grad_u(order, x, u):
     """Gradient in u: component i is `order * He_{order-1}(u_i + x_i)`."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != u.shape:
-        raise DimensionError(f"x has shape {x.shape} but u has shape {u.shape}")
-    if order == 0:
-        return np.zeros_like(u)
-    return order * hermite_value(order - 1, u + x)
+    t = _hermite_point(x, u)
+    return np.zeros_like(t) if order == 0 else order * hermite_value(order - 1, t)
 
 
 def hermite_expected_grad(order, x_members, u_spec):

@@ -98,10 +98,6 @@ class Ensemble:
     note: str = ""
 
     @property
-    def dim(self):
-        return self.members.shape[-2]
-
-    @property
     def n(self):
         return self.members.shape[-1]
 

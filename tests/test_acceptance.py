@@ -40,8 +40,7 @@ from ensgrad.objectives import (
 )
 from ensgrad.sampling import GaussianSpec, child_seed, draw_ensemble, recenter
 
-from test_cli import PIN_PLATFORM, _platform
-from test_perfbench import _load
+from test_cli import PIN_PLATFORM, _load, _platform
 
 # stosag variants expected to score within a common band (criterion 3c)
 FAMILY = ("stosag", "gen_stosag", "two_sided", "mirrored2s", "one_sided", "decorr")

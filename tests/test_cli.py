@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import pathlib
 import platform
 import re
 
@@ -15,11 +17,29 @@ import pytest
 from ensgrad import __version__
 from ensgrad.cli import main
 from ensgrad.estimators import ESTIMATOR_IDS, SUBSAMPLED_IDS, EstimatorSpec, estimate
-from ensgrad.harness import (BenchConfig, RESULTS_HEADER, TRAJECTORY_HEADER, aggregate,
-                             read_results_csv, run_bench, select_best_lambda)
+from ensgrad.harness import (BenchConfig, RESULTS_HEADER, TRAJECTORY_HEADER, ResultRow,
+                             aggregate, run_bench, select_best_lambda)
 from ensgrad.objectives import hermite_objective
 from ensgrad.sampling import (Ensemble, GaussianSpec, draw_ensemble, recenter,
                               write_ensemble_csv)
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+checks = _load("checks")
+
+
+def read_results(path):
+    """The rows of a results CSV, parsed by perfbench's reader, not by the package."""
+    return [ResultRow(*key, *rest) for key, *rest in checks.read_rows(path)]
+
 
 BENCH_CFG = {
     "base_seed": 99,
@@ -83,7 +103,7 @@ class TestBench:
         out = tmp_path / "out"
         rc, _, _ = run(capsys, "bench", "--config", cfg, "--out", out)
         assert rc == 0
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results(out / "results.csv")
         assert rows
         assert {r.estimator for r in rows} >= {"plain_lls", "fragile", "paired",
                                                "stosag", "avg_grad", "two_sided"}
@@ -110,7 +130,7 @@ class TestBench:
         cfg = write_cfg(tmp_path / "cfg.json", BENCH_CFG)
         out = tmp_path / "out"
         assert run(capsys, "bench", "--config", cfg, "--out", out, "--trials", "5")[0] == 0
-        assert all(r.trials == 5 for r in read_results_csv(out / "results.csv"))
+        assert all(r.trials == 5 for r in read_results(out / "results.csv"))
 
     def test_print_default_config_round_trips(self, capsys):
         rc, out, _ = run(capsys, "bench", "--print-default-config")
@@ -208,8 +228,8 @@ class TestBench:
                         dict(BENCH_CFG, hermite_orders=[3], lambda_grid=[0.0, 1e-2]))
         out = tmp_path / "out"
         assert run(capsys, "bench", "--config", cfg, "--out", out)[0] == 0
-        rows = read_results_csv(out / "results.csv")
-        best = read_results_csv(out / "best_lambda.csv")
+        rows = read_results(out / "results.csv")
+        best = read_results(out / "best_lambda.csv")
         keys = [(r.estimator, r.order, r.n) for r in best]
         assert len(keys) == len(set(keys))
         assert set(keys) == {(r.estimator, r.order, r.n) for r in rows}
@@ -230,7 +250,7 @@ class TestBench:
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
         assert rc == 1
         assert "synthetic cell failure" in err
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results(out / "results.csv")
         assert rows and all(r.order == 0 for r in rows)
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
@@ -340,7 +360,7 @@ class TestBench:
 
     @staticmethod
     def assert_partial(out, kept):
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results(out / "results.csv")
         assert {(r.order, r.n) for r in rows} == kept
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
@@ -385,7 +405,7 @@ class TestBench:
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
         assert rc == 1
         assert "non-finite" in err
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results(out / "results.csv")
         assert all(np.isfinite(r.rmse) and np.isfinite(r.bias) for r in rows)
         man = json.loads((out / "manifest.json").read_text())
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
@@ -403,7 +423,7 @@ class TestBench:
         assert rc == 1
         failures = err.splitlines()[4:]
         assert [line.split(":")[0] for line in failures] == ["order=6 N=5", "order=6 N=3"]
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results(out / "results.csv")
         for line, n in zip(failures, (5, 3)):
             k, m = map(int, re.fullmatch(r"order=6 N=\d: (\d+) of (\d+) rows have a non-finite "
                                          r"rmse or bias; left out", line).groups())

@@ -25,7 +25,6 @@ from ensgrad.harness import (
     bootstrap_band,
     cell_tables,
     merge_stats,
-    read_results_csv,
     run_bench,
     run_trial,
     select_best_lambda,
@@ -36,6 +35,7 @@ from ensgrad.harness import (
 from ensgrad.objectives import MAX_HERMITE_ORDER
 
 from golden_fixture import trial_stats
+from test_cli import read_results
 
 SMALL = BenchConfig(
     base_seed=515,
@@ -166,10 +166,12 @@ class TestErrorStats:
         assert rows[0].rmse >= rows[0].bias
 
     def test_merge_requires_same_contract(self):
-        a = _stats(np.zeros((0, 2)), evals=10)
-        b = _stats(np.zeros((0, 2)), evals=12)
-        with pytest.raises(ValueError):
-            a.merge(b)
+        # a contract that differs on a later key leaves the earlier keys unmerged too
+        a, b = _stats(np.ones((1, 2)), evals=10), _stats(np.ones((1, 2)), evals=10)
+        into = {"k1": a, "k2": a}
+        with pytest.raises(ValueError, match="contracts"):
+            merge_stats(into, {"k1": b, "k2": _stats(np.zeros((0, 2)), evals=12)})
+        assert into["k1"] is a and into["k2"] is a
 
     def test_merge_stats_accumulates(self):
         key = ("paired", 2, 4, 0.0)
@@ -671,7 +673,7 @@ class TestAggregation:
                 ResultRow("paired", 3, 6, 0.1, 1e16, 0.1, 6, 40)] if edge else self._rows()
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
-        assert read_results_csv(path) == rows
+        assert read_results(path) == rows
         if edge:
             assert path.read_text() == ("estimator,order,N,lambda,rmse,bias,evals,trials\n"
                                         "paired,3,6,0.0,-0.0,5e-324,6,40\n"
@@ -701,6 +703,8 @@ class TestBootstrap:
         arrays = (np.zeros((2, 3)), np.ones((2, 3)), np.array([4, 4]))
         with pytest.raises(ValueError, match="metric"):
             bootstrap_band(*arrays, metric="mse")
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_band(*arrays, n_boot=0)
 
     def test_no_blocks_rejected(self):
         with pytest.raises(ValueError, match="no blocks to resample"):

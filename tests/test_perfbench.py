@@ -7,9 +7,7 @@ imported here by path and run on a tiny grid, so a rename that would break
 the traced benchmark run fails in the test suite first.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -17,18 +15,10 @@ import ensgrad.cli as cli
 import ensgrad.harness as harness
 from ensgrad.harness import BenchConfig
 
-from test_cli import PIN_PLATFORM, _platform
+from test_cli import PIN_PLATFORM, _load, _platform
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 CFG = BenchConfig(base_seed=7, n_trials=4, hermite_orders=(2,), ensemble_sizes=(6,),
                   lambda_grid=(0.0, 1e-2))
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _patched():

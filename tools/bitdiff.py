@@ -22,7 +22,18 @@ per tree:
   estimator's gradient at each default lambda, plain and preconditioned,
   through a plain `ObjectiveSpec` and through a `CountingObjective` (one per
   step, so a lambda sweep reuses its memo), for Hermite orders 2, 3 and 5
-  at N of 5, 20 and 100.
+  at N of 5, 20 and 100;
+- the SHA-256 of the other console commands, each run through `cli.main`:
+  `cli-gradient`, the exit code, stdout and `evals=` line of `ensgrad
+  gradient` for every estimator, from `--objective hermite3`, a `--values`
+  row and a full `--values` table (M x 2M for the subsampled estimators),
+  both with `--mean-values`, at lambda 0 and 0.01, plain and
+  `--precondition`, on ensembles drawn from fixed seeds and written with
+  `write_ensemble_csv` (error text is left out: it names temporary paths);
+  `cli-linear-check`, the exit code and stdout of `linear-check`, with
+  `--zero-x-coupling` and with `--inject-sign-error`; and `cli-rastrigin`,
+  the exit code, stdout and four CSVs of `rastrigin --steps 50` (not the
+  manifest, which holds a timestamp).
 It exits 0 when every digest is equal, 1 naming each run whose digest
 differs, and 2 when a tree could not be run. Unlike the hard-coded pins of
 the test suite, which hold only on the platform they were recorded on, this
@@ -34,6 +45,7 @@ import ast
 import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -88,9 +100,84 @@ def one_trial_sha256():
     return h.hexdigest()
 
 
+def console(*argv):
+    """(exit code, stdout, stderr) of `ensgrad argv`, run through `cli.main`."""
+    from ensgrad.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def write_values(path, rows):
+    """A headerless CSV of float reprs, one line per row."""
+    with open(path, "w") as f:
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    return path
+
+
+def gradient_sha256(tmp):
+    """`cli-gradient`: the SHA-256 of `ensgrad gradient` calls on 3 x 8
+    x-members and 8 or 16 recentred controls."""
+    import numpy as np
+
+    from ensgrad.estimators import ESTIMATOR_IDS, SUBSAMPLED_IDS
+    from ensgrad.objectives import hermite_objective
+    from ensgrad.sampling import GaussianSpec, draw_ensemble, recenter, write_ensemble_csv
+
+    d, m, obj = 3, 8, hermite_objective(3, 3)
+    x = draw_ensemble(GaussianSpec(np.linspace(-1.0, 1.0, d), 0.25), m, 61).members
+    u = {n: recenter(draw_ensemble(GaussianSpec(np.zeros(d), 0.25), n, 62 + n)).members
+         for n in (m, 2 * m)}
+    for name, members in (("x", x), *((f"u{n}", e) for n, e in u.items())):
+        write_ensemble_csv(os.path.join(tmp, f"{name}.csv"), members)
+    mv = write_values(os.path.join(tmp, "mv.csv"), obj.pairs(x, np.zeros((d, 1)))[None])
+    h = hashlib.sha256()
+    for est in ESTIMATOR_IDS:
+        n = 2 * m if est in SUBSAMPLED_IDS else m
+        pair_x = (x.mean(axis=1, keepdims=True) if est == "fragile"
+                  else np.repeat(x, 2, axis=1) if est in SUBSAMPLED_IDS else x)
+        sources = {
+            "objective": ("--objective", "hermite3"),
+            "row": ("--values", write_values(os.path.join(tmp, f"row-{est}.csv"),
+                                             obj.pairs(pair_x, u[n])[None]), "--mean-values", mv),
+            "table": ("--values", write_values(os.path.join(tmp, f"table{n}.csv"), np.array(
+                [obj.pairs(x[:, [k]], u[n]) for k in range(m)])), "--mean-values", mv),
+        }
+        for source, args in sources.items():
+            for lam in ("0", "0.01"):
+                for pre in ((), ("--precondition",)):
+                    rc, out, err = console(
+                        "gradient", "--ensemble-u", os.path.join(tmp, f"u{n}.csv"),
+                        "--ensemble-x", os.path.join(tmp, "x.csv"), "--mean-u", "0,0,0",
+                        "--estimator", est, "--lambda", lam, *args, *pre)
+                    evals = [line for line in err.splitlines() if line.startswith("evals=")]
+                    h.update(repr((est, source, lam, pre, rc, out, evals)).encode())
+    return h.hexdigest()
+
+
+def console_digests(tmp):
+    """`cli-gradient`, `cli-linear-check` and `cli-rastrigin`."""
+    got = {"cli-gradient": gradient_sha256(tmp)}
+    h = hashlib.sha256()
+    for flags in ((), ("--zero-x-coupling",), ("--inject-sign-error",)):
+        rc, out, _ = console("linear-check", *flags)
+        h.update(repr((flags, rc, out)).encode())
+    got["cli-linear-check"] = h.hexdigest()
+    out_dir = os.path.join(tmp, "rastrigin")
+    rc, out, _ = console("rastrigin", "--steps", 50, "--out", out_dir)
+    h = hashlib.sha256(repr((rc, out)).encode())
+    for name in ("trajectories_exact.csv", "trajectories_blurred.csv", "grid_exact.csv",
+                 "grid_blurred.csv"):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            h.update(repr((name, f.read())).encode())
+    got["cli-rastrigin"] = h.hexdigest()
+    return got
+
+
 def digests(cfg_path, out_dir):
     """The digests of this process's `ensgrad`, by run name."""
-    from ensgrad.cli import main
     from ensgrad.harness import BenchConfig, run_bench
 
     spec = importlib.util.spec_from_file_location("bitdiff_checks", CHECKS)
@@ -106,15 +193,16 @@ def digests(cfg_path, out_dir):
            for name, (cfg, w, b) in runs.items()}
     argv = ["bench", "--config", cfg_path, "--trials", "201", "--seed", "5", "--workers", "2",
             "--out", out_dir]
-    with contextlib.redirect_stdout(sys.stderr):
-        rc = main(argv)
+    rc, _, err = console(*argv)
     if rc != 0:
-        raise RuntimeError(f"ensgrad {' '.join(argv)} exited {rc}")
+        raise RuntimeError(f"ensgrad {' '.join(argv)} exited {rc}: {err}")
     for name in ("results.csv", "best_lambda.csv"):
         with open(os.path.join(out_dir, name), "rb") as f:
             got[f"cli-pin-t201-w2 {name}"] = hashlib.sha256(f.read()).hexdigest()
     got["estimate-t1"] = one_trial_sha256()
-    return got
+    cli_dir = os.path.join(out_dir, "cli")
+    os.makedirs(cli_dir)
+    return got | console_digests(cli_dir)
 
 
 def run_tree(tree, cfg_path, out_dir):
