@@ -2,15 +2,16 @@
 
 Each estimator is written once, over stacks of trials: x-members `X`
 (..., dx, M) and controls `U` (..., du, N), as Ensembles with any leading
-trial axes, give gradient rows (L, ..., du) for a grid of L damping values,
-plus the evaluations charged per trial. `estimate()` is that call on one
-unstacked trial at one lambda; the benchmark harness makes it once per
-estimator and block of trials, with a `Batch` that lets the estimators of a
-block share their evaluations and factorisations; the factorisations do
-not depend on the objective, so Batches of several objectives on the same
-ensembles can share them too. A lambda sweep of `estimate()` calls shares
-both through the Batch memo that a `CountingObjective` keeps per pair of
-ensembles.
+trial axes, give a lambda-free plan plus the evaluations charged per trial;
+`_at` alone applies lambdas, turning a plan into gradient rows (L, ..., du)
+for a grid of L damping values. `estimate()` runs one unstacked trial at
+one lambda; the benchmark harness runs each estimator once per block of
+trials, with a `Batch` that lets the estimators of a block share their
+evaluations and factorisations; the factorisations do not depend on the
+objective, so Batches of several objectives on the same ensembles can share
+them too. The Batch memo keeps each estimator's plan, so a lambda sweep of
+`estimate()` calls through the memo a `CountingObjective` keeps per pair of
+ensembles runs each estimator's body once.
 Regularisation and the preconditioned form (trailing `Ut^+` replaced by
 `Ut^T/(N-1)`, i.e. the gradient pre-multiplied by the sample control
 covariance) are handled uniformly through `EstimatorSpec`.
@@ -60,8 +61,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_IDS:
             raise ValueError(f"unknown estimator {self.kind!r}; known: {ESTIMATOR_IDS}")
-        if self.subsample_size < 2:
-            raise ValueError(f"subsample_size must be >= 2, got {self.subsample_size}")
+        for name in ("precondition", "charge_cached", "avg_grad_diagonal"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        n = self.subsample_size
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"subsample_size must be an integer >= 2, got {n!r}")
 
 
 @dataclass
@@ -128,8 +133,9 @@ class CountingObjective:
         of the latest two pairs are kept, enough for a sweep that alternates
         (X, U) and (X, VW), so a loop over fresh ensembles stays bounded. A
         key is compared with those two for equality, never hashed."""
-        key = [(e.recentred, e.members.shape, e.members.tobytes(),
-                e.true_mean.shape, e.true_mean.tobytes()) for e in (X, U)]
+        key = (X.recentred, X.members.shape, X.members.tobytes(), X.true_mean.shape,
+               X.true_mean.tobytes(), U.recentred, U.members.shape, U.members.tobytes(),
+               U.true_mean.shape, U.true_mean.tobytes())
         for i, (k, memo) in enumerate(self._memos):
             if k == key:
                 self._memos.insert(0, self._memos.pop(i))
@@ -143,13 +149,14 @@ class CountingObjective:
 class Batch:
     """x-members `X` and controls `U` (Ensembles, stacked or not) on an
     objective, with what several estimators on them share, each computed on
-    first use. Evaluations and the decorrelated controls depend on the
-    objective and go into `memo`; the SVDs and the subsample anomalies
-    depend only on `U` (grouped by the size of `X`) and go into `shared`,
-    which Batches of other objectives on the same `X` and `U` may pass too
-    (default: `memo`). Neither memo ever holds a Batch or the objective, so
-    a memo kept by a CountingObjective makes no reference cycle. `objective`
-    is an ObjectiveSpec or a CountingObjective."""
+    first use. Evaluations, decorrelated controls, projections and plans
+    depend on the objective and go into `memo`; the SVDs, their damped
+    singular values and the subsample anomalies depend only on `U` (grouped
+    by the size of `X`) and go into `shared`, which Batches of other
+    objectives on the same `X` and `U` may pass too (default: `memo`).
+    Neither memo ever holds a Batch or the objective, so a memo kept by a
+    CountingObjective makes no reference cycle. `objective` is an
+    ObjectiveSpec or a CountingObjective."""
 
     def __init__(self, objective, X, U, memo=None, shared=None):
         self.obj, self.X, self.U = objective, X, U
@@ -173,17 +180,6 @@ class Batch:
         """Values at the mean control, loss(x_m, mu), (..., M)."""
         return self.once("baseline", lambda: self.obj.pairs(self.X.members,
                                                              self.U.true_mean[..., None]))
-
-    def damped_apply(self, key, row, name, matrix, lambdas):
-        """`linalg.damped_apply` of `row` to `(u, damp(s, lambdas), vt)` from
-        the SVD of `matrix()`, built and factored once per `name` (a name
-        stands for one matrix of `U`; the batch's M and N fix the group
-        size). The row's projection, which no lambda changes, is kept under
-        `key`, the row's own, so the calls of a lambda sweep compute it once."""
-        u, s, vt = self.once(("svd", name), lambda: svd(matrix()), shared=True)
-        coeffs = self.once(("damped", name, lambdas), lambda: damp(s, lambdas), shared=True)
-        projected = self.once(("projected", key, name), lambda: vt @ row[..., None])
-        return damped_apply(row, (u, coeffs, vt), projected)
 
     def group_rows(self, nm):
         """Each x-member's values on its own subsample of `nm` consecutive
@@ -217,57 +213,53 @@ def _require_paired_recentred(b, kind):
         raise ValueError(f"{kind} requires a recentred control ensemble")
 
 
-def _each_lambda(grad, lambdas):
-    return np.repeat(grad[None], len(lambdas), axis=0)
-
-
-def _regress(key, row, b, spec, lambdas, name="U", matrix=None, cross=None):
-    """`row @ a^+` (damped) at every lambda for the matrix `a = matrix()` that
-    `name` stands for in `b`'s memo (default: `Ut`), or in preconditioned
-    form `cross()` (default: `row @ Ut^T/(N-1)`); `key` is the row's own."""
+def _regress(key, row, b, spec, name="U", matrix=None, cross=None):
+    """The plan of `row @ a^+` for the matrix `a = matrix()` that `name`
+    stands for in `b`'s memo (default: `Ut`), with the row's projection kept
+    under `key`, or the preconditioned row `cross()` (default: `row @ Ut^T/(N-1)`)."""
     if spec.precondition:
-        grad = sample_cross_cov(row, b.U.anomalies) if cross is None else cross()
-        return _each_lambda(grad, lambdas)
-    return b.damped_apply(key, row, name, matrix or (lambda: b.U.anomalies), lambdas)
+        return "fixed", sample_cross_cov(row, b.U.anomalies) if cross is None else cross()
+    usv = b.once(("svd", name), lambda: svd(matrix() if matrix else b.U.anomalies), shared=True)
+    projected = b.once(("projected", key, name), lambda: usv[2] @ row[..., None])
+    return "regress", usv, projected, b.once(("damped", name), dict, shared=True)
 
 
-def _plain_lls(b, spec, lambdas):
+def _plain_lls(b, spec):
     row = b.once("table", lambda: b.obj.table(b.X.members, b.U.members))
-    return _regress("table", row, b, spec, lambdas), b.X.n * b.U.n, 0
+    return _regress("table", row, b, spec), b.X.n * b.U.n, 0
 
 
-def _fragile(b, spec, lambdas):
+def _fragile(b, spec):
     row = b.once("fragile", lambda: b.obj.pairs(b.X.members.sum(axis=-1, keepdims=True) / b.X.n,
                                                  b.U.members))
-    return _regress("fragile", row, b, spec, lambdas), b.U.n, 0
+    return _regress("fragile", row, b, spec), b.U.n, 0
 
 
-def _paired(b, spec, lambdas):
+def _paired(b, spec):
     _require_paired(b, "paired")
-    return _regress("values", b.values(), b, spec, lambdas), b.U.n, 0
+    return _regress("values", b.values(), b, spec), b.U.n, 0
 
 
-def _stosag(b, spec, lambdas):
+def _stosag(b, spec):
     _require_paired_recentred(b, "stosag")
-    row = b.once("stosag", lambda: b.values() - b.baseline())
-    return _regress("stosag", row, b, spec, lambdas), b.U.n, b.X.n
+    return _regress("stosag", b.values() - b.baseline(), b, spec), b.U.n, b.X.n
 
 
-def _one_sided(b, spec, lambdas):
+def _one_sided(b, spec):
     """Mirrored two-sided form with the reflected values replaced by their
     linear extrapolation 2*loss(X, mu) - loss(X, U); collapses to stosag."""
     _require_paired_recentred(b, "one_sided")
-    row = b.once("one_sided", lambda: 0.5 * (b.values() - (2.0 * b.baseline() - b.values())))
-    return _regress("one_sided", row, b, spec, lambdas), b.U.n, b.X.n
+    row = 0.5 * (b.values() - (2.0 * b.baseline() - b.values()))
+    return _regress("one_sided", row, b, spec), b.U.n, b.X.n
 
 
-def _mirrored2s(b, spec, lambdas):
+def _mirrored2s(b, spec):
     _require_paired_recentred(b, "mirrored2s")
     row = b.once("mirrored2s", lambda: 0.5 * (b.values() - b.obj.pairs(b.X.members, mirror(b.U))))
-    return _regress("mirrored2s", row, b, spec, lambdas), 2 * b.U.n, 0
+    return _regress("mirrored2s", row, b, spec), 2 * b.U.n, 0
 
 
-def _decorr(b, spec, lambdas):
+def _decorr(b, spec):
     """Paired, on controls decorrelated from the baseline values."""
     _require_paired_recentred(b, "decorr")
 
@@ -278,10 +270,10 @@ def _decorr(b, spec, lambdas):
     # the decorrelated controls depend on the objective, so their SVD goes
     # into the inner Batch's own memo, never into `b`'s shared one
     dec = Batch(b.obj, b.X, *b.once("decorr", compute))
-    return _regress("values", dec.values(), dec, spec, lambdas), b.U.n, b.X.n
+    return _regress("values", dec.values(), dec, spec), b.U.n, b.X.n
 
 
-def _two_sided(b, spec, lambdas):
+def _two_sided(b, spec):
     """Antithetic value differences over the pair groups [v_m, w_m]."""
     if b.U.n != 2 * b.X.n:
         raise DimensionError(
@@ -296,10 +288,9 @@ def _two_sided(b, spec, lambdas):
 
     diff = b.once("pair_diffs", pair_diffs, shared=True)
     rows = b.group_rows(2)
-    row = b.once("two_sided", lambda: rows[..., 0] - rows[..., 1])
-    grad = _regress("two_sided", row, b, spec, lambdas, "diff", lambda: diff,
-                    lambda: (diff @ row[..., None])[..., 0] / (2 * b.X.n))
-    return grad, 2 * b.X.n, 0
+    row = rows[..., 0] - rows[..., 1]
+    return _regress("two_sided", row, b, spec, "diff", lambda: diff,
+                    lambda: (diff @ row[..., None])[..., 0] / (2 * b.X.n)), 2 * b.X.n, 0
 
 
 def _checked_groups(b, spec, kind):
@@ -311,24 +302,19 @@ def _checked_groups(b, spec, kind):
     return b.group_rows(nm), b.group_anomalies(nm)
 
 
-def _average_lls(b, spec, lambdas):
+def _average_lls(b, spec):
     """Mean over x-members of each group's own regression gradient."""
     rows, anoms = _checked_groups(b, spec, "average_lls")
     if spec.precondition or spec.subsample_size > 2:
-        grad = _regress(("rows", spec.subsample_size), rows, b, spec, lambdas, "groups",
-                        lambda: anoms, lambda: sample_cross_cov(rows, anoms))
-        return grad.mean(axis=-2), b.U.n, 0
-
-    def rank1():
-        # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
-        vt = anoms[..., 0]
-        nrm2 = (vt * vt).sum(axis=-1)
-        if np.any(nrm2 == 0.0):
-            raise DegenerateEnsembleError("average_lls: some pair has v == w")
-        return ((rows[..., 0] - rows[..., 1])[..., None] * vt / (2.0 * nrm2[..., None])).mean(axis=-2)
-
-    grad = b.once("rank1", rank1)
-    return np.stack([grad / (1.0 + lam**2) for lam in lambdas]), b.U.n, 0
+        return ("mean", _regress(("rows", spec.subsample_size), rows, b, spec, "groups",
+                                 lambda: anoms, lambda: sample_cross_cov(rows, anoms))), b.U.n, 0
+    # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
+    vt = anoms[..., 0]
+    nrm2 = (vt * vt).sum(axis=-1)
+    if np.any(nrm2 == 0.0):
+        raise DegenerateEnsembleError("average_lls: some pair has v == w")
+    grad = ((rows[..., 0] - rows[..., 1])[..., None] * vt / (2.0 * nrm2[..., None])).mean(axis=-2)
+    return ("rank1", grad), b.U.n, 0
 
 
 def _group_cross_moments(b, spec, kind):
@@ -351,14 +337,13 @@ def _group_cross_moments(b, spec, kind):
     return b.once(("moments", spec.subsample_size), compute)
 
 
-def _gen_stosag(b, spec, lambdas):
+def _gen_stosag(b, spec):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
-    grad = _regress(("moments", spec.subsample_size), c_mean, b, spec, lambdas, "cov_mean",
-                    lambda: cov_mean, lambda: c_mean)
-    return grad, b.U.n, 0
+    return _regress(("moments", spec.subsample_size), c_mean, b, spec, "cov_mean",
+                    lambda: cov_mean, lambda: c_mean), b.U.n, 0
 
 
-def _hybrid(b, spec, lambdas):
+def _hybrid(b, spec):
     """Per-group cross-covariances against the pooled control covariance."""
     c_mean, _ = _group_cross_moments(b, spec, "hybrid")
 
@@ -368,34 +353,55 @@ def _hybrid(b, spec, lambdas):
         pooled = b.U.anomalies
         return pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
 
-    grad = _regress(("moments", spec.subsample_size), c_mean, b, spec, lambdas, "cov_pool",
-                    cov_pool, lambda: c_mean)
-    return grad, b.U.n, 0
+    return _regress(("moments", spec.subsample_size), c_mean, b, spec, "cov_pool",
+                    cov_pool, lambda: c_mean), b.U.n, 0
 
 
-def _avg_grad(b, spec, lambdas):
+def _avg_grad(b, spec):
     """Average of analytic conditional gradients; no regression involved."""
     X, U = b.X, b.U
     if spec.avg_grad_diagonal:
         _require_paired(b, "avg_grad (diagonal pairing)")
         grad = b.once("grad_pairs", lambda: b.obj.grad_pairs(X.members, U.members)).mean(axis=-1)
-        return _each_lambda(grad, lambdas), U.n, 0
+        return ("fixed", grad), U.n, 0
     grad = b.once("grad_table", lambda: b.obj.grad_table(X.members, U.members))
-    return _each_lambda(grad, lambdas), X.n * U.n, 0
+    return ("fixed", grad), X.n * U.n, 0
 
 
 _DISPATCH = {kind: globals()[f"_{kind}"] for kind in ESTIMATOR_IDS}
 
 
+def _at(plan, lambdas):
+    """A plan's gradient rows (L, ..., du) at the tuple `lambdas`: `("regress",
+    (u, s, vt), projected, damp(s) by lambdas)`, `("fixed", row)`, `("rank1",
+    row)`, damped by `1/(1 + lam^2)`, or `("mean", plan)` over x-members."""
+    kind = plan[0]
+    if kind == "regress":
+        _, (u, s, vt), projected, damped = plan
+        coeffs = damped.get(lambdas)
+        if coeffs is None:
+            coeffs = damped[lambdas] = damp(s, lambdas)
+        return damped_apply(None, (u, coeffs, vt), projected)
+    if kind == "fixed":
+        return np.repeat(plan[1][None], len(lambdas), axis=0)
+    if kind == "rank1":
+        return np.stack([plan[1] / (1.0 + lam**2) for lam in lambdas])
+    return _at(plan[1], lambdas).mean(axis=-2)
+
+
 def estimate_batch(batch, spec, lambdas=None):
     """Run one estimator on a Batch at every lambda of `lambdas` (default:
     the spec's own): gradient rows (L, ..., du), and the evaluations (new,
-    cached) charged per trial."""
-    lambdas = (spec.pinv.lam,) if lambdas is None else tuple(lambdas)
-    grads, evals, cached = _DISPATCH[spec.kind](batch, spec, lambdas)
+    cached) charged per trial. The plan is kept in the Batch's memo, keyed on
+    the spec but `pinv` and `charge_cached`; a body that raises keeps nothing."""
+    key = ("plan", spec.kind, spec.precondition, spec.subsample_size, spec.avg_grad_diagonal)
+    memo = batch._memo
+    if key not in memo:
+        memo[key] = _DISPATCH[spec.kind](batch, spec)
+    plan, evals, cached = memo[key]
     if spec.charge_cached:
         evals, cached = evals + cached, 0
-    return grads, evals, cached
+    return _at(plan, (spec.pinv.lam,) if lambdas is None else tuple(lambdas)), evals, cached
 
 
 def estimate(objective, X, U, spec):

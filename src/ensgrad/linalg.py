@@ -8,6 +8,8 @@ benchmark trial; nothing is cached here (`estimators.Batch` shares an SVD
 between the estimators and lambdas that need it).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,9 @@ class PinvConfig:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"damping must be finite and >= 0, got {self.lam}")
+        real = isinstance(self.lam, numbers.Real) and not isinstance(self.lam, bool)
+        if not (real and math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"damping lam must be a finite real number >= 0, got {self.lam!r}")
 
 
 def svd(a):

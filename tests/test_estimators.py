@@ -1,5 +1,6 @@
 """The estimator family: exactness identities, equivalences, accounting."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ensgrad.errors import DegenerateEnsembleError, DimensionError
+from ensgrad import estimators
 from ensgrad.estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
@@ -486,11 +488,68 @@ class TestAccounting:
             estimate(obj, x, vw, spec_for("two_sided", lam))
         assert obj.evals == before
 
+    def test_stacked_controls_are_charged_per_trial(self):
+        # a 2-D X against a stack of T controls is T trials of N pairs
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        x, u = draw_xu(31, n=6)
+        obj.pairs(x.members, np.stack([u.members] * 3))
+        assert obj.evals == 6 * 3
+
     def test_grad_evals_separate_counter(self):
         obj = CountingObjective(hermite_objective(3, dims=D))
         x, u = draw_xu(30, n=6, m=4)
         estimate(obj, x, u, spec_for("avg_grad"))
         assert obj.grad_evals == 24 and obj.evals == 0
+
+
+class TestPlans:
+    """Each estimator's body builds a lambda-free plan once per Batch and
+    spec; lambdas are applied to the kept plan."""
+
+    @staticmethod
+    def count_bodies(monkeypatch):
+        calls = dict.fromkeys(ESTIMATOR_IDS, 0)
+        for kind, body in estimators._DISPATCH.items():
+            def counted(*args, kind=kind, body=body):
+                calls[kind] += 1
+                return body(*args)
+            monkeypatch.setitem(estimators._DISPATCH, kind, counted)
+        return calls
+
+    def test_lambda_sweep_runs_each_body_once(self, monkeypatch):
+        calls = self.count_bodies(monkeypatch)
+        counts = {"svd": 0, "damp": 0}
+        for name in counts:
+            def counted(*args, name=name, fn=getattr(estimators, name)):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(estimators, name, counted)
+        x, u = draw_xu(40, n=6)
+        vw = recenter(draw_ensemble(U_SPEC, 12, child_seed(40, 2)))
+        obj = CountingObjective(hermite_objective(3, dims=D))
+        for kind in ESTIMATOR_IDS:
+            for lam in DEFAULT_LAMBDAS:
+                estimate(obj, x, vw if kind in SUBSAMPLED_IDS else u, spec_for(kind, lam))
+        assert calls == dict.fromkeys(ESTIMATOR_IDS, 1)
+        # paired controls, decorr's own, two_sided's differences and the two
+        # covariances of gen_stosag and hybrid, each damped at every lambda
+        assert counts == {"svd": 5, "damp": 5 * len(DEFAULT_LAMBDAS)}
+
+    # a second value of each field the plan key reads; `avg_grad` reads them all
+    OTHER = {"kind": "paired", "precondition": True, "subsample_size": 3,
+             "avg_grad_diagonal": True}
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EstimatorSpec)])
+    def test_specs_differing_in_a_keyed_field_get_two_plans(self, field, monkeypatch):
+        calls = self.count_bodies(monkeypatch)
+        other = self.OTHER | {"pinv": PinvConfig(0.1), "charge_cached": True}
+        x, u = draw_xu(43, n=6)
+        batch = Batch(hermite_objective(3, dims=D), x, u)
+        first = EstimatorSpec(kind="avg_grad")
+        for spec in (first, dataclasses.replace(first, **{field: other[field]}), first):
+            estimate_batch(batch, spec)
+        keyed = field not in ("pinv", "charge_cached")
+        assert sum(calls.values()) == (2 if keyed else 1)
 
 
 class TestSharedMemo:
@@ -598,6 +657,22 @@ class TestPreconditioned:
         b = estimate(obj, x, u, spec_for("hybrid", subsample_size=3,
                                          precondition=True))
         assert np.array_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("subsample_size", 3.0), ("subsample_size", True), ("subsample_size", "3"),
+        ("charge_cached", "no"), ("precondition", "no"), ("avg_grad_diagonal", "no"),
+        ("precondition", 1)])
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EstimatorSpec(kind="average_lls", **{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        obj = hermite_objective(3, dims=D)
+        x, u = draw_xu(45, n=9, m=3)
+        spec = EstimatorSpec(kind="average_lls", subsample_size=np.int64(3),
+                             precondition=np.bool_(True))
+        want = estimate(obj, x, u, spec_for("average_lls", subsample_size=3, precondition=True))
+        assert np.array_equal(estimate(obj, x, u, spec).grad, want.grad)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,16 @@ class TestTikhonovPinv:
         with pytest.raises(ValueError):
             PinvConfig(np.inf)
 
+    @pytest.mark.parametrize("lam", ["0.1", True, np.bool_(True), None, 1j],
+                             ids=["str", "bool", "np-bool", "none", "complex"])
+    def test_lam_must_be_a_real_number(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            PinvConfig(lam)
+
+    def test_real_scalars_accepted(self):
+        for lam in (0, 2, np.int64(1), np.float32(0.5), np.float64(0.1)):
+            assert PinvConfig(lam).lam == lam
+
     def test_pinv_identity_both_shapes(self):
         # A^T (A A^T)^+ == A^+ for wide and tall A
         cfg = PinvConfig(0.0)
@@ -134,6 +144,11 @@ class TestUncentredCrossCov:
         members -= members.mean(axis=1, keepdims=True)
         out = uncentred_cross_cov(np.full(30, 5.0), members, np.zeros(2))
         assert np.abs(out).max() < 1e-13
+
+    def test_one_member(self):
+        members, mu = np.array([[1.0], [-2.0], [0.5]]), np.array([0.5, 0.5, 0.5])
+        out = uncentred_cross_cov(np.array([3.0]), members, mu)
+        assert np.array_equal(out, 3.0 * (members[:, 0] - mu))
 
     def test_linear_f_large_n(self):
         # f = alpha^T u: (1/N) sum f_n (u_n - mu)^T -> alpha^T C_u

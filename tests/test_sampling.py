@@ -46,6 +46,12 @@ class TestDraws:
         e = draw_ensemble(GaussianSpec(np.zeros(2), cov=4.0), 200_000, 3)
         assert np.allclose(e.members.var(axis=1), 4.0, rtol=0.02)
 
+    def test_zero_scalar_cov_draws_the_mean(self):
+        spec = GaussianSpec(np.array([1.0, -2.0, 0.5]), 0.0)
+        assert np.array_equal(spec.factor(), np.zeros((3, 3)))
+        members = draw_ensemble(spec, 4, 9).members
+        assert np.array_equal(members, np.repeat(spec.mean[:, None], 4, axis=1))
+
     def test_diagonal_and_full_cov_factor(self):
         diag = GaussianSpec(np.zeros(2), cov=np.array([4.0, 9.0]))
         l = diag.factor()

@@ -17,12 +17,18 @@ per tree:
   bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG
   (`cli-pin-t201-w2`): two blocks per cell, the run that exercises the pool;
 - `estimate-t1`, the SHA-256 of one-trial `estimate()` calls, the path an
-  optimisation loop takes and `run_bench` does not: the members that
-  `draw_ensemble` and `recenter` draw from `child_seed` streams, and every
-  estimator's gradient at each default lambda, plain and preconditioned,
-  through a plain `ObjectiveSpec` and through a `CountingObjective` (one per
-  step, so a lambda sweep reuses its memo), for Hermite orders 2, 3 and 5
-  at N of 5, 20 and 100;
+  optimisation loop takes and `run_bench` does not, for Hermite orders 2, 3
+  and 5 at N of 5, 20 and 100: the members that `draw_ensemble` and
+  `recenter` draw from `child_seed` streams, and every estimator's gradient
+  and (evals, cached) at each default lambda, through a plain
+  `ObjectiveSpec` and through a `CountingObjective` (one per step, so a
+  lambda sweep reuses its memo). Each objective runs every estimator plain
+  and preconditioned, the `CountingObjective` also with the lambdas
+  reversed; then `avg_grad` with `avg_grad_diagonal` (after the table
+  form), every estimator with `charge_cached`, and `average_lls`,
+  `gen_stosag` and `hybrid` with `subsample_size=3` on a pooled 3N ensemble. The `CountingObjective`'s
+  `evals` and `grad_evals` are hashed after each step, so the digest covers
+  every field that a memoised plan is keyed on;
 - the SHA-256 of the other console commands, each run through `cli.main`:
   `cli-gradient`, the exit code, stdout and `evals=` line of `ensgrad
   gradient` for every estimator, from `--objective hermite3`, a `--values`
@@ -83,20 +89,35 @@ def one_trial_sha256():
     x_spec = GaussianSpec(np.linspace(-2.0, 2.0, dims), np.linspace(0.1, 0.5, dims))
     u_spec = GaussianSpec(np.zeros(dims), 0.01)
     h = hashlib.sha256()
+
+    def sweep(obj, x, ens, kind, lambdas=DEFAULT_LAMBDAS, **opts):
+        for lam in lambdas:
+            got = estimate(obj, x, ens, EstimatorSpec(kind, PinvConfig(lam), **opts))
+            h.update(np.asarray(got.grad, dtype=float).tobytes())
+            h.update(repr((got.evals, got.cached)).encode())
+
     for step, (order, n) in enumerate((o, n) for o in (2, 3, 5) for n in (5, 20, 100)):
         x = draw_ensemble(x_spec, n, child_seed(7, step, 0))
         u = recenter(draw_ensemble(u_spec, n, child_seed(7, step, 1)))
         vw = recenter(draw_ensemble(u_spec, 2 * n, child_seed(7, step, 2)))
-        for e in (x, u, vw):
+        vw3 = recenter(draw_ensemble(u_spec, 3 * n, child_seed(7, step, 3)))
+        for e in (x, u, vw, vw3):
             h.update(e.members.tobytes())
         plain = hermite_objective(order, dims)
-        for obj in (plain, CountingObjective(plain)):
+        counting = CountingObjective(plain)
+        for obj in (plain, counting):
+            passes = (DEFAULT_LAMBDAS, DEFAULT_LAMBDAS[::-1])[:1 if obj is plain else 2]
             for kind in ESTIMATOR_IDS:
+                ens = vw if kind in SUBSAMPLED_IDS else u
                 for precondition in (False, True):
-                    for lam in DEFAULT_LAMBDAS:
-                        spec = EstimatorSpec(kind, PinvConfig(lam), precondition)
-                        got = estimate(obj, x, vw if kind in SUBSAMPLED_IDS else u, spec)
-                        h.update(np.asarray(got.grad, dtype=float).tobytes())
+                    for lambdas in passes:
+                        sweep(obj, x, ens, kind, lambdas, precondition=precondition)
+            sweep(obj, x, u, "avg_grad", avg_grad_diagonal=True)
+            for kind in ESTIMATOR_IDS:
+                sweep(obj, x, vw if kind in SUBSAMPLED_IDS else u, kind, charge_cached=True)
+            for kind in ("average_lls", "gen_stosag", "hybrid"):
+                sweep(obj, x, vw3, kind, subsample_size=3)
+        h.update(repr((counting.evals, counting.grad_evals)).encode())
     return h.hexdigest()
 
 
