@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnsembleError, DimensionError
+from .errors import DegenerateEnsembleError, DimensionError, is_flag, is_int, require
 from .linalg import PinvConfig, damp, damped_apply, sample_cross_cov, svd
 from .sampling import decorrelate, mirror
 
@@ -59,14 +59,15 @@ class EstimatorSpec:
     avg_grad_diagonal: bool = False
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_IDS:
-            raise ValueError(f"unknown estimator {self.kind!r}; known: {ESTIMATOR_IDS}")
+        if self.kind not in ESTIMATOR_IDS:  # formats the ids only when it raises
+            raise ValueError(f"estimator kind must be one of {ESTIMATOR_IDS}, got {self.kind!r}")
+        require(isinstance(self.pinv, PinvConfig), "pinv", "a PinvConfig", self.pinv)
         for name in ("precondition", "charge_cached", "avg_grad_diagonal"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        n = self.subsample_size
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"subsample_size must be an integer >= 2, got {n!r}")
+            require(is_flag(getattr(self, name)), name, "a bool", getattr(self, name))
+        require(is_int(self.subsample_size, 2), "subsample_size", "an integer >= 2",
+                self.subsample_size)
+        # kept as an int: a narrow numpy integer would wrap in M * subsample_size
+        object.__setattr__(self, "subsample_size", int(self.subsample_size))
 
 
 @dataclass

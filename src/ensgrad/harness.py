@@ -24,8 +24,6 @@ Rastrigin surface and the control-variate variance-reduction law check.
 """
 
 import math
-import numbers
-import sys
 from collections import namedtuple
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import finite_reals, is_flag, is_int, is_real, require
 from .estimators import (
     ESTIMATOR_IDS,
     SUBSAMPLED_IDS,
@@ -69,46 +68,34 @@ class ConfigError(ValueError):
     """Invalid benchmark configuration; the CLI maps this to exit code 2."""
 
 
-def _ints(lo, hi=math.inf):  # bools are ints to Python, and JSON's true/false load as bools
-    return lambda v: not isinstance(v, bool) and isinstance(v, int) and lo <= v <= hi
-
-
-def _reals(lo=-sys.float_info.max, hi=sys.float_info.max):  # finite: NaN fails every comparison
-    return lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real) and lo <= v <= hi
-
-
-def _entries(v):  # of a number, vector or matrix; a deeper list is one entry, and fails
-    v = v.tolist() if isinstance(v, np.ndarray) else v
-    rows = v if isinstance(v, (list, tuple)) else [v]
-    return [x for r in rows for x in (r if isinstance(r, (list, tuple)) else [r])]
-
-
-# Per BenchConfig field: its shape, check per entry, what that accepts, from_dict's conversion
-# per entry. Shapes: "one" value; "distinct", a non-empty tuple of differing entries (a repeat
-# would run trials twice); "mean", dims numbers or null; "cov", numbers that must factor.
+# Per BenchConfig field: its shape, its check (of each entry of a "distinct" one; `errors`'
+# number rule), what that accepts, and the Python type its numbers are kept as. Shapes: "one"
+# value; "distinct", a non-empty tuple of differing entries (a repeat would run trials twice);
+# "mean", dims numbers or null; "cov", a number, vector or matrix that must factor.
 _Field = namedtuple("_Field", "shape ok what entry", defaults=(None,))
-_MEAN, _COV = _Field("mean", _reals(), "finite numbers"), _Field("cov", _reals(), "finite numbers")
+_MEAN = _Field("mean", lambda v: v is None or np.ndim(finite_reals(v)) == 1, "finite numbers")
+_COV = _Field("cov", lambda v: (a := finite_reals(v)) is not None and a.ndim <= 2, "finite numbers")
 CONFIG_FIELDS = {
-    "base_seed": _Field("one", _ints(0), "non-negative int"),
-    "n_trials": _Field("one", _ints(1), "positive int"),
-    "dims": _Field("one", _ints(1, MAX_DIMS), f"int in [1, {MAX_DIMS}]"),
-    "hermite_orders": _Field("distinct", _ints(0, MAX_HERMITE_ORDER),
-                             f"ints in [0, {MAX_HERMITE_ORDER}]"),
-    "ensemble_sizes": _Field("distinct", _ints(2), "ints >= 2"),
-    "lambda_grid": _Field("distinct", _reals(0), "finite numbers >= 0", float),
+    "base_seed": _Field("one", lambda v: is_int(v, 0), "non-negative int", int),
+    "n_trials": _Field("one", lambda v: is_int(v, 1), "positive int", int),
+    "dims": _Field("one", lambda v: is_int(v, 1, MAX_DIMS), f"int in [1, {MAX_DIMS}]", int),
+    "hermite_orders": _Field("distinct", lambda v: is_int(v, 0, MAX_HERMITE_ORDER),
+                             f"ints in [0, {MAX_HERMITE_ORDER}]", int),
+    "ensemble_sizes": _Field("distinct", lambda v: is_int(v, 2), "ints >= 2", int),
+    "lambda_grid": _Field("distinct", lambda v: is_real(v, 0), "finite numbers >= 0", float),
     "estimators": _Field("distinct", ESTIMATOR_IDS.__contains__, f"ids from {list(ESTIMATOR_IDS)}"),
     "u_mean": _MEAN, "u_cov": _COV, "x_mean": _MEAN, "x_cov": _COV,
     "truth": _Field("one", ("conditional", "distribution").__contains__,
                     "'conditional' or 'distribution'"),
-    "m_members": _Field("one", lambda v: v is None or _ints(2)(v), "int >= 2 or null"),
-    "charge_cached": _Field("one", lambda v: isinstance(v, bool), "true or false"),
+    "m_members": _Field("one", lambda v: v is None or is_int(v, 2), "int >= 2 or null", int),
+    "charge_cached": _Field("one", is_flag, "true or false", bool),
 }
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Benchmark setup. Defaults reproduce the desk-scale study: 5 dims,
-    u ~ N(0, I/100), x ~ N(linspace(-2,2), I/4), 10^4 trials."""
+    """Benchmark setup, checked when built. Defaults reproduce the desk-scale
+    study: 5 dims, u ~ N(0, I/100), x ~ N(linspace(-2,2), I/4), 10^4 trials."""
 
     base_seed: int = 2026
     n_trials: int = 10_000
@@ -138,11 +125,10 @@ class BenchConfig:
         problems = {}
         for name, (shape, ok, what, _) in CONFIG_FIELDS.items():
             v = getattr(self, name)
-            if shape in ("distinct", "mean"):  # a mean may be null, for the default
-                good = (v is None and shape == "mean") or (
-                    isinstance(v, (tuple, list, np.ndarray)) and len(v) > 0 and all(map(ok, v)))
+            if shape == "distinct":
+                good = isinstance(v, (tuple, list, np.ndarray)) and len(v) > 0 and all(map(ok, v))
             else:
-                good = all(map(ok, _entries(v) if shape == "cov" else [v]))
+                good = ok(v)
             if not good:
                 problems[name] = f"expected {what}, got {v!r}"
             elif shape == "distinct" and len(set(v)) < len(v):
@@ -151,13 +137,20 @@ class BenchConfig:
                 problems[name] = f"length {len(v)} != dims {self.dims}"
             elif shape == "cov" and not problems.keys() & {"dims", name[0] + "_mean"}:
                 try:  # u_cov factors u_spec() and x_cov x_spec(), each on its own
-                    if not np.isfinite(getattr(self, name[0] + "_spec")().factor()).all():
-                        problems[name] = "its factor is not finite"
+                    getattr(self, name[0] + "_spec")()
                 except ValueError as e:  # includes LinAlgError and DimensionError
                     problems[name] = str(e)
         if problems:
             raise ConfigError("; ".join(f"{k}: {p}" for k, p in problems.items()))
         return self
+
+    def __post_init__(self):
+        self.validate()  # first, or int(), float() and bool() would read true/false as numbers
+        for name, (shape, _, _, entry) in CONFIG_FIELDS.items():
+            v = getattr(self, name)
+            if entry and v is not None:  # numpy scalars are kept as Python ones: they mix badly
+                v = tuple(map(entry, v)) if shape == "distinct" else entry(v)
+                object.__setattr__(self, name, v)
 
     def to_dict(self):
         def plain(v):
@@ -165,7 +158,7 @@ class BenchConfig:
                 return [plain(x) for x in v]
             if isinstance(v, np.ndarray):
                 return v.tolist()
-            if isinstance(v, (np.integer, np.floating)):
+            if isinstance(v, np.generic):  # a numpy number in a mean or covariance
                 return v.item()
             return v
 
@@ -179,10 +172,7 @@ class BenchConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_FIELDS)}")
         seqs = {k for k, f in CONFIG_FIELDS.items() if f.shape in ("distinct", "mean")}
-        cfg = cls(**{k: tuple(v) if k in seqs and isinstance(v, list) else v for k, v in d.items()})
-        cfg.validate()  # first, or float() reads true/false as 1.0/0.0
-        return replace(cfg, **{k: tuple(map(f.entry, getattr(cfg, k)))
-                               for k, f in CONFIG_FIELDS.items() if f.entry})
+        return cls(**{k: tuple(v) if k in seqs and isinstance(v, list) else v for k, v in d.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +391,8 @@ def run_bench(cfg, workers=1, blocks_per_cell=50, progress=None):
     cells included, as its last block comes back: by N, then by order."""
     import time
 
-    cfg.validate()
     for name, value in (("blocks_per_cell", blocks_per_cell), ("workers", workers)):
-        if not _ints(1)(value):
+        if not is_int(value, 1):
             raise ConfigError(f"{name}: expected positive int, got {value!r}")
     t0 = time.perf_counter()
     orders, progress = cfg.hermite_orders, progress or (lambda order, n: None)
@@ -583,11 +572,11 @@ def block_arrays(result, estimator, order, n, lam):
 def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5, 97.5)):
     """Percentile bootstrap band for the aggregated metric (`error_metrics`)
     from `n_boot` resamples of the blocks with replacement. ValueError for a
-    metric other than "rmse" or "bias", `n_boot` < 1 or no blocks."""
+    metric other than "rmse" or "bias", an `n_boot` that is not an
+    integer >= 1, or no blocks."""
     if metric not in ("rmse", "bias"):
         raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot!r}")
+    require(is_int(n_boot, 1), "n_boot", "an integer >= 1", n_boot)
     c = len(ns)
     if c == 0:
         raise ValueError("no blocks to resample")
@@ -618,9 +607,17 @@ DEFAULT_STARTS = ((-2.4, 2.3), (2.2, -1.6), (1.7, 2.6), (-1.9, -2.4), (0.9, -2.8
 
 @dataclass(frozen=True)
 class DescentConfig:
+    """Fixed-step descent from 2-D starts, checked when built."""
+
     step: float = 0.012
     n_steps: int = 400
     starts: tuple = DEFAULT_STARTS
+
+    def __post_init__(self):
+        require(is_real(self.step, 0), "step", "finite and >= 0", self.step)
+        require(is_int(self.n_steps, 1), "n_steps", "an integer >= 1", self.n_steps)
+        require(np.shape(finite_reals(self.starts))[1:] == (2,) and len(self.starts) > 0, "starts",
+                "a non-empty sequence of 2-D points of finite reals", self.starts)
 
 
 @dataclass

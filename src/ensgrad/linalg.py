@@ -8,13 +8,11 @@ benchmark trial; nothing is cached here (`estimators.Batch` shares an SVD
 between the estimators and lambdas that need it).
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientSampleError
+from .errors import DimensionError, InsufficientSampleError, is_real, require
 
 # Relative singular-value cutoff for plain (lam=0) pseudo-inversion.
 RANK_RTOL = 1e-12
@@ -29,9 +27,7 @@ class PinvConfig:
     lam: float = 0.0
 
     def __post_init__(self):
-        real = isinstance(self.lam, numbers.Real) and not isinstance(self.lam, bool)
-        if not (real and math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"damping lam must be a finite real number >= 0, got {self.lam!r}")
+        require(is_real(self.lam, 0), "damping lam", "a finite real number >= 0", self.lam)
 
 
 def svd(a):

@@ -11,15 +11,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, is_int
 from .sampling import GaussianSpec
 
 MAX_HERMITE_ORDER = 6
 
 
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or not 0 <= order <= MAX_HERMITE_ORDER:
-        raise ValueError(f"Hermite order must be an int in [0, {MAX_HERMITE_ORDER}], got {order}")
+def _check_order(order):  # runs on every evaluation: formats only when it raises
+    if not is_int(order, 0, MAX_HERMITE_ORDER):
+        raise ValueError(f"Hermite order must be an int in [0, {MAX_HERMITE_ORDER}], got {order!r}")
 
 
 def _hermite_terms(t, shrink):
@@ -63,6 +63,7 @@ def hermite_eval(order, x, u):
 
 def hermite_grad_u(order, x, u):
     """Gradient in u: component i is `order * He_{order-1}(u_i + x_i)`."""
+    _check_order(order)
     t = _hermite_point(x, u)
     return np.zeros_like(t) if order == 0 else order * hermite_value(order - 1, t)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientSampleError
+from .errors import DimensionError, InsufficientSampleError, finite_reals, require
 
 # Relative threshold below which a projected anomaly row counts as collapsed.
 COLLAPSE_RTOL = 1e-9
@@ -26,10 +26,10 @@ COLLAPSE_RTOL = 1e-9
 @dataclass(frozen=True)
 class GaussianSpec:
     """Mean vector plus covariance given as a scalar, a diagonal vector, or
-    a full (d, d) matrix, read once when the spec is built: a covariance of
-    another dim than the mean, a negative or an indefinite one raises there.
-    `variances` (d,) is its diagonal; it, `factor()` and an array `cov` are
-    read-only."""
+    a full (d, d) matrix, read once when the spec is built: an entry that is
+    not a finite real, a covariance of another dim than the mean, a negative
+    or indefinite one, or a non-finite factor raises there. `variances` (d,)
+    is its diagonal; it, `factor()` and an array `cov` are read-only."""
 
     mean: np.ndarray
     cov: object = 1.0
@@ -37,14 +37,16 @@ class GaussianSpec:
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, float))
-        d, cov = mean.size, self.cov
-        if np.isscalar(cov):
+        mean, cov = finite_reals(self.mean), finite_reals(self.cov)
+        require(mean is not None, "mean", "finite real numbers", self.mean)
+        require(cov is not None, "cov", "finite real numbers", self.cov)
+        mean, d = np.atleast_1d(mean), mean.size
+        if cov.ndim == 0:
             if cov < 0:
                 raise np.linalg.LinAlgError("negative covariance scale")
             factor, variances = np.sqrt(float(cov)) * np.eye(d), np.full(d, float(cov))
+            cov = self.cov
         else:
-            cov = np.array(cov, dtype=float)
             if cov.ndim not in (1, 2):
                 raise DimensionError(f"covariance must be scalar, 1-D or 2-D, got {cov.ndim}-D")
             if cov.shape != (d,) * cov.ndim:
@@ -55,7 +57,8 @@ class GaussianSpec:
                     raise np.linalg.LinAlgError(f"invalid diagonal covariance {cov}")
                 factor, variances = np.diag(np.sqrt(cov)), cov
             else:
-                factor, variances = _full_factor(cov), np.diag(cov)
+                factor, variances = _full_factor(cov), np.diag(cov)  # only this one can overflow
+                require(np.isfinite(factor).all(), "cov", "a matrix with a finite factor", self.cov)
         factor.flags.writeable = variances.flags.writeable = False
         for name, value in zip(("mean", "cov", "variances", "_factor"),
                                (mean, cov, variances, factor)):

@@ -674,6 +674,14 @@ class TestPreconditioned:
         want = estimate(obj, x, u, spec_for("average_lls", subsample_size=3, precondition=True))
         assert np.array_equal(estimate(obj, x, u, spec).grad, want.grad)
 
+    def test_narrow_numpy_subsample_size_does_not_wrap(self):
+        # M * subsample_size = 300 would wrap as a uint8
+        obj = hermite_objective(3, dims=D)
+        x, u = draw_xu(46, n=300, m=100)
+        got = estimate(obj, x, u, spec_for("gen_stosag", subsample_size=np.uint8(3)))
+        assert np.array_equal(got.grad, estimate(obj, x, u, spec_for("gen_stosag",
+                                                                     subsample_size=3)).grad)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EstimatorSpec(kind="nope")

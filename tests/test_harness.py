@@ -1,5 +1,6 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
+import json
 import os
 import re
 from concurrent.futures import Executor
@@ -136,6 +137,25 @@ class TestBenchConfig:
 
     def test_field_table_covers_every_field(self):
         assert list(CONFIG_FIELDS) == [f.name for f in fields(BenchConfig)]
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="^n_trials: expected"):
+            BenchConfig(n_trials=0)
+        with pytest.raises(ConfigError, match="^dims: expected"):
+            replace(SMALL, dims=2.5)
+
+    def test_numpy_scalars_run_with_the_same_bits(self):
+        # the np.int64 and np.bool_ that EstimatorSpec takes; to_dict keeps them JSON-safe
+        cfg = BenchConfig(base_seed=np.int64(515), n_trials=np.int64(40), dims=np.int64(3),
+                          hermite_orders=(np.int64(3),), ensemble_sizes=(np.uint8(6),),
+                          lambda_grid=(np.float64(0.0), np.float64(1e-2)),
+                          charge_cached=np.bool_(False))
+        assert json.loads(json.dumps(cfg.to_dict())) == SMALL.to_dict()
+        got = run_bench(cfg, workers=np.int64(1), blocks_per_cell=np.int16(2))
+        want = run_bench(SMALL, blocks_per_cell=2)
+        assert got.cells.keys() == want.cells.keys()
+        for key, cell in want.cells.items():
+            assert got.cells[key].sums.tobytes() == cell.sums.tobytes()
 
 
 def _stats(errors, evals=0):

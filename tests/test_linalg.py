@@ -145,6 +145,11 @@ class TestUncentredCrossCov:
         out = uncentred_cross_cov(np.full(30, 5.0), members, np.zeros(2))
         assert np.abs(out).max() < 1e-13
 
+    def test_zero_members_rejected(self):
+        # without the guard, 0/0 would hand back a NaN row
+        with pytest.raises(InsufficientSampleError):
+            uncentred_cross_cov(np.zeros(0), np.zeros((3, 0)), np.zeros(3))
+
     def test_one_member(self):
         members, mu = np.array([[1.0], [-2.0], [0.5]]), np.array([0.5, 0.5, 0.5])
         out = uncentred_cross_cov(np.array([3.0]), members, mu)

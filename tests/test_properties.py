@@ -20,16 +20,27 @@ from ensgrad.estimators import (
     estimate_batch,
 )
 from ensgrad.harness import (
+    CONFIG_FIELDS,
     DEFAULT_SIZES,
     BenchConfig,
     ConfigError,
+    DescentConfig,
     ErrorStats,
     _draw_trials,
     aggregate,
+    bootstrap_band,
     run_bench,
+    run_rastrigin_demo,
 )
 from ensgrad.linalg import RANK_RTOL, PinvConfig, damp, damped_apply, svd, tikhonov_pinv
-from ensgrad.objectives import bilinear_grad, bilinear_objective, hermite_objective
+from ensgrad.objectives import (
+    bilinear_grad,
+    bilinear_objective,
+    hermite_expected_grad,
+    hermite_grad_u,
+    hermite_objective,
+    hermite_value,
+)
 from ensgrad.sampling import (
     Ensemble,
     GaussianSpec,
@@ -438,3 +449,88 @@ def test_config_field_either_validates_or_names_itself(name, value):
         assert str(e).startswith(f"{name}: "), str(e)
         return
     assert cfg.validate() == BenchConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
+# One strategy of values that no numeric field takes as they are: bools, Python's and
+# numpy's; a numeric string; None; NaN and +-inf; a negative number; and 2.5, a fraction
+# where a count is expected.
+bad_values = st.sampled_from((True, np.bool_(True), "0.5", None, math.nan, math.inf, -math.inf,
+                              -1, 2.5))
+
+BAD_BASE = BenchConfig(base_seed=5, n_trials=2, dims=3, hermite_orders=(3,), ensemble_sizes=(6,),
+                       lambda_grid=(0.0, 0.1), estimators=("stosag", "average_lls"))
+BAD_OBJ = hermite_objective(3, D)
+BAD_X, BAD_U = trial(11, 4, 4)
+BAD_VW = recenter(draw_ensemble(U_SPEC, 8, child_seed(11, 2)))
+BAD_BLOCKS = (np.ones((3, D)), np.ones((3, D)), np.array([2, 2, 2]))
+
+
+def _run_estimate(spec):
+    got = estimate(BAD_OBJ, BAD_X, BAD_VW if spec.kind in SUBSAMPLED_IDS else BAD_U, spec)
+    assert np.isfinite(got.grad).all()
+
+
+def _draw(spec):
+    assert np.isfinite(draw_ensemble(spec, 4, 0).members).all()
+
+
+def _run_bench(cfg):
+    assert not run_bench(cfg).failures
+    json.dumps(cfg.to_dict())  # numpy scalars come out as plain JSON
+
+
+def _entry(name, v):  # a sequence field of BAD_BASE with its last entry set to v
+    base = getattr(BAD_BASE, name)
+    return (0.0, v, 0.0) if base is None else tuple(base[:-1]) + (v,)
+
+
+# Per constructor or function: what its message must name, the call on one value, and the
+# run that an accepted value must survive.
+BAD_TARGETS = {
+    "PinvConfig.lam": ("lam", PinvConfig, lambda p: _run_estimate(EstimatorSpec("stosag", p))),
+    "EstimatorSpec.kind": ("kind", EstimatorSpec, _run_estimate),
+    "EstimatorSpec.pinv": ("pinv", lambda v: EstimatorSpec("stosag", pinv=v), _run_estimate),
+    **{f"EstimatorSpec.{name}": (name, lambda v, name=name, kind=kind: EstimatorSpec(
+        kind, **{name: v}), _run_estimate)
+       for name, kind in (("precondition", "stosag"), ("charge_cached", "stosag"),
+                          ("avg_grad_diagonal", "avg_grad"), ("subsample_size", "average_lls"))},
+    "GaussianSpec.mean": ("mean", lambda v: GaussianSpec([0.0, v, 0.0], 0.25),
+                          _draw),
+    "GaussianSpec.cov": ("cov", lambda v: GaussianSpec(np.zeros(3), v),
+                         _draw),
+    "GaussianSpec.cov entry": ("cov", lambda v: GaussianSpec(np.zeros(3), [0.25, v, 0.25]),
+                               _draw),
+    "hermite_value": ("Hermite order", lambda v: hermite_value(v, np.ones(3)), None),
+    "hermite_grad_u": ("Hermite order", lambda v: hermite_grad_u(v, np.ones(3), np.ones(3)), None),
+    "hermite_objective": ("Hermite order", hermite_objective, None),
+    "hermite_expected_grad": ("Hermite order",
+                              lambda v: hermite_expected_grad(v, BAD_X.members, U_SPEC), None),
+    "bootstrap_band": ("n_boot", lambda v: bootstrap_band(*BAD_BLOCKS, n_boot=v), None),
+    "DescentConfig.step": ("step", lambda v: DescentConfig(step=v, n_steps=5), run_rastrigin_demo),
+    "DescentConfig.n_steps": ("n_steps", lambda v: DescentConfig(n_steps=v), run_rastrigin_demo),
+    "DescentConfig.starts": ("starts", lambda v: DescentConfig(n_steps=5, starts=((1.0, v),)),
+                             run_rastrigin_demo),
+    "run_bench.workers": ("workers", lambda v: run_bench(BAD_BASE, workers=v), None),
+    "run_bench.blocks_per_cell": ("blocks_per_cell",
+                                  lambda v: run_bench(BAD_BASE, blocks_per_cell=v), None),
+    **{f"BenchConfig.{name}": (f"{name}: ", lambda v, name=name: replace(BAD_BASE, **{name: v}),
+                               _run_bench) for name in CONFIG_FIELDS},
+    **{f"BenchConfig.{name} entry": (f"{name}: ", lambda v, name=name: replace(
+        BAD_BASE, **{name: _entry(name, v)}), _run_bench)
+       for name, f in CONFIG_FIELDS.items() if f.shape in ("distinct", "mean")},
+}
+
+
+@pytest.mark.parametrize("target", BAD_TARGETS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(value=bad_values)
+def test_bad_value_raises_a_value_error_naming_its_field_or_runs(target, value):
+    # never a TypeError or AttributeError, when built or later
+    name, build, run = BAD_TARGETS[target]
+    try:
+        built = build(value)
+    except ValueError as e:
+        assert name in str(e), str(e)
+        return
+    if run is not None:
+        run(built)

@@ -126,6 +126,13 @@ class TestDraws:
         with pytest.raises(error, match=msg):
             GaussianSpec(SPEC3.mean, cov)
 
+    def test_zero_covariance_scale_gives_zero_factor(self):
+        # a scale of exactly 0 is a point mass, not a negative covariance
+        spec = GaussianSpec(SPEC3.mean, 0.0)
+        assert np.array_equal(spec.factor(), np.zeros((3, 3)))
+        assert np.array_equal(spec.variances, np.zeros(3))
+        assert np.array_equal(draw_ensemble(spec, 4, 1).members, np.repeat(SPEC3.mean[:, None], 4, 1))
+
     def test_n_validation(self):
         with pytest.raises(InsufficientSampleError):
             draw_ensemble(SPEC3, 0, 1)
