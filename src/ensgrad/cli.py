@@ -185,7 +185,7 @@ def _cmd_rastrigin(args):
                        ((u1, u2, fn(np.array([u1, u2]))) for u1 in grid for u2 in grid))
         outputs.append(name)
 
-    config = {"step": cfg.step, "n_steps": cfg.n_steps, "starts": [list(s) for s in cfg.starts]}
+    config = {"step": cfg.step, "n_steps": cfg.n_steps, "starts": cfg.starts}
     write_manifest(args.out, "rastrigin", config, outputs, notes)
     final = {
         label: float(np.mean([rastrigin_eval(t.points[-1]) for t in runs[label]]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError, DimensionError, is_flag, is_int, require
-from .linalg import PinvConfig, damp, damped_apply, sample_cross_cov, svd
+from .linalg import PinvConfig, damp, sample_cross_cov, svd
 from .sampling import decorrelate, mirror
 
 ESTIMATOR_IDS = (
@@ -150,11 +150,12 @@ class CountingObjective:
 class Batch:
     """x-members `X` and controls `U` (Ensembles, stacked or not) on an
     objective, with what several estimators on them share, each computed on
-    first use. Evaluations, decorrelated controls, projections and plans
-    depend on the objective and go into `memo`; the SVDs, their damped
-    singular values and the subsample anomalies depend only on `U` (grouped
-    by the size of `X`) and go into `shared`, which Batches of other
-    objectives on the same `X` and `U` may pass too (default: `memo`).
+    first use. Evaluations, decorrelated controls and plans (a plan keeps
+    its row's projection) depend on the objective and go into `memo`; the
+    subsample anomalies and the SVDs, one entry `(u, s, vt, damped singular
+    values by lambda tuple)` per matrix, depend only on `U` (grouped by the
+    size of `X`) and go into `shared`, which Batches of other objectives on
+    the same `X` and `U` may pass too (default: `memo`).
     Neither memo ever holds a Batch or the objective, so a memo kept by a
     CountingObjective makes no reference cycle. `objective` is an
     ObjectiveSpec or a CountingObjective."""
@@ -214,36 +215,36 @@ def _require_paired_recentred(b, kind):
         raise ValueError(f"{kind} requires a recentred control ensemble")
 
 
-def _regress(key, row, b, spec, name="U", matrix=None, cross=None):
-    """The plan of `row @ a^+` for the matrix `a = matrix()` that `name`
-    stands for in `b`'s memo (default: `Ut`), with the row's projection kept
-    under `key`, or the preconditioned row `cross()` (default: `row @ Ut^T/(N-1)`)."""
+def _regress(row, b, spec, name="U", matrix=None, cross=None):
+    """The plan of `row @ a^+`, keeping `vt @ row`, for the matrix `a = matrix()`
+    that `name` stands for in `b`'s shared memo (default: `Ut`), or the
+    preconditioned row `cross()` (default: `row @ Ut^T/(N-1)`)."""
     if spec.precondition:
         return "fixed", sample_cross_cov(row, b.U.anomalies) if cross is None else cross()
-    usv = b.once(("svd", name), lambda: svd(matrix() if matrix else b.U.anomalies), shared=True)
-    projected = b.once(("projected", key, name), lambda: usv[2] @ row[..., None])
-    return "regress", usv, projected, b.once(("damped", name), dict, shared=True)
+    usv = b.once(("svd", name), lambda: (*svd(matrix() if matrix else b.U.anomalies), {}),
+                 shared=True)
+    return "regress", usv, usv[2] @ row[..., None]
 
 
 def _plain_lls(b, spec):
     row = b.once("table", lambda: b.obj.table(b.X.members, b.U.members))
-    return _regress("table", row, b, spec), b.X.n * b.U.n, 0
+    return _regress(row, b, spec), b.X.n * b.U.n, 0
 
 
 def _fragile(b, spec):
     row = b.once("fragile", lambda: b.obj.pairs(b.X.members.sum(axis=-1, keepdims=True) / b.X.n,
                                                  b.U.members))
-    return _regress("fragile", row, b, spec), b.U.n, 0
+    return _regress(row, b, spec), b.U.n, 0
 
 
 def _paired(b, spec):
     _require_paired(b, "paired")
-    return _regress("values", b.values(), b, spec), b.U.n, 0
+    return _regress(b.values(), b, spec), b.U.n, 0
 
 
 def _stosag(b, spec):
     _require_paired_recentred(b, "stosag")
-    return _regress("stosag", b.values() - b.baseline(), b, spec), b.U.n, b.X.n
+    return _regress(b.values() - b.baseline(), b, spec), b.U.n, b.X.n
 
 
 def _one_sided(b, spec):
@@ -251,13 +252,13 @@ def _one_sided(b, spec):
     linear extrapolation 2*loss(X, mu) - loss(X, U); collapses to stosag."""
     _require_paired_recentred(b, "one_sided")
     row = 0.5 * (b.values() - (2.0 * b.baseline() - b.values()))
-    return _regress("one_sided", row, b, spec), b.U.n, b.X.n
+    return _regress(row, b, spec), b.U.n, b.X.n
 
 
 def _mirrored2s(b, spec):
     _require_paired_recentred(b, "mirrored2s")
     row = b.once("mirrored2s", lambda: 0.5 * (b.values() - b.obj.pairs(b.X.members, mirror(b.U))))
-    return _regress("mirrored2s", row, b, spec), 2 * b.U.n, 0
+    return _regress(row, b, spec), 2 * b.U.n, 0
 
 
 def _decorr(b, spec):
@@ -271,7 +272,7 @@ def _decorr(b, spec):
     # the decorrelated controls depend on the objective, so their SVD goes
     # into the inner Batch's own memo, never into `b`'s shared one
     dec = Batch(b.obj, b.X, *b.once("decorr", compute))
-    return _regress("values", dec.values(), dec, spec), b.U.n, b.X.n
+    return _regress(dec.values(), dec, spec), b.U.n, b.X.n
 
 
 def _two_sided(b, spec):
@@ -290,7 +291,7 @@ def _two_sided(b, spec):
     diff = b.once("pair_diffs", pair_diffs, shared=True)
     rows = b.group_rows(2)
     row = rows[..., 0] - rows[..., 1]
-    return _regress("two_sided", row, b, spec, "diff", lambda: diff,
+    return _regress(row, b, spec, "diff", lambda: diff,
                     lambda: (diff @ row[..., None])[..., 0] / (2 * b.X.n)), 2 * b.X.n, 0
 
 
@@ -307,8 +308,8 @@ def _average_lls(b, spec):
     """Mean over x-members of each group's own regression gradient."""
     rows, anoms = _checked_groups(b, spec, "average_lls")
     if spec.precondition or spec.subsample_size > 2:
-        return ("mean", _regress(("rows", spec.subsample_size), rows, b, spec, "groups",
-                                 lambda: anoms, lambda: sample_cross_cov(rows, anoms))), b.U.n, 0
+        plan = _regress(rows, b, spec, "groups", lambda: anoms, lambda: sample_cross_cov(rows, anoms))
+        return ("mean", plan), b.U.n, 0
     # rank-1 groups: pinv rows are +-vt^T/(2*|vt|^2), damped by 1/(1+lam^2)
     vt = anoms[..., 0]
     nrm2 = (vt * vt).sum(axis=-1)
@@ -340,8 +341,7 @@ def _group_cross_moments(b, spec, kind):
 
 def _gen_stosag(b, spec):
     c_mean, cov_mean = _group_cross_moments(b, spec, "gen_stosag")
-    return _regress(("moments", spec.subsample_size), c_mean, b, spec, "cov_mean",
-                    lambda: cov_mean, lambda: c_mean), b.U.n, 0
+    return _regress(c_mean, b, spec, "cov_mean", lambda: cov_mean, lambda: c_mean), b.U.n, 0
 
 
 def _hybrid(b, spec):
@@ -354,8 +354,7 @@ def _hybrid(b, spec):
         pooled = b.U.anomalies
         return pooled @ np.swapaxes(pooled, -1, -2) / (b.U.n - 1)
 
-    return _regress(("moments", spec.subsample_size), c_mean, b, spec, "cov_pool",
-                    cov_pool, lambda: c_mean), b.U.n, 0
+    return _regress(c_mean, b, spec, "cov_pool", cov_pool, lambda: c_mean), b.U.n, 0
 
 
 def _avg_grad(b, spec):
@@ -374,15 +373,15 @@ _DISPATCH = {kind: globals()[f"_{kind}"] for kind in ESTIMATOR_IDS}
 
 def _at(plan, lambdas):
     """A plan's gradient rows (L, ..., du) at the tuple `lambdas`: `("regress",
-    (u, s, vt), projected, damp(s) by lambdas)`, `("fixed", row)`, `("rank1",
+    (u, s, vt, damp(s) by lambdas), vt @ row)`, `("fixed", row)`, `("rank1",
     row)`, damped by `1/(1 + lam^2)`, or `("mean", plan)` over x-members."""
     kind = plan[0]
     if kind == "regress":
-        _, (u, s, vt), projected, damped = plan
+        _, (u, s, _, damped), projected = plan
         coeffs = damped.get(lambdas)
         if coeffs is None:
             coeffs = damped[lambdas] = damp(s, lambdas)
-        return damped_apply(None, (u, coeffs, vt), projected)
+        return (u @ (coeffs[..., None] * projected))[..., 0]
     if kind == "fixed":
         return np.repeat(plan[1][None], len(lambdas), axis=0)
     if kind == "rank1":

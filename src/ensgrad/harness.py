@@ -69,27 +69,34 @@ class ConfigError(ValueError):
 
 
 # Per BenchConfig field: its shape, its check (of each entry of a "distinct" one; `errors`'
-# number rule), what that accepts, and the Python type its numbers are kept as. Shapes: "one"
-# value; "distinct", a non-empty tuple of differing entries (a repeat would run trials twice);
-# "mean", dims numbers or null; "cov", a number, vector or matrix that must factor.
-_Field = namedtuple("_Field", "shape ok what entry", defaults=(None,))
+# number rule) and what that accepts. Shapes: "one" value; "distinct", a non-empty tuple of
+# differing entries (a repeat would run trials twice); "mean", dims numbers or null; "cov", a
+# number, vector or matrix that must factor.
+_Field = namedtuple("_Field", "shape ok what")
 _MEAN = _Field("mean", lambda v: v is None or np.ndim(finite_reals(v)) == 1, "finite numbers")
 _COV = _Field("cov", lambda v: (a := finite_reals(v)) is not None and a.ndim <= 2, "finite numbers")
 CONFIG_FIELDS = {
-    "base_seed": _Field("one", lambda v: is_int(v, 0), "non-negative int", int),
-    "n_trials": _Field("one", lambda v: is_int(v, 1), "positive int", int),
-    "dims": _Field("one", lambda v: is_int(v, 1, MAX_DIMS), f"int in [1, {MAX_DIMS}]", int),
+    "base_seed": _Field("one", lambda v: is_int(v, 0), "non-negative int"),
+    "n_trials": _Field("one", lambda v: is_int(v, 1), "positive int"),
+    "dims": _Field("one", lambda v: is_int(v, 1, MAX_DIMS), f"int in [1, {MAX_DIMS}]"),
     "hermite_orders": _Field("distinct", lambda v: is_int(v, 0, MAX_HERMITE_ORDER),
-                             f"ints in [0, {MAX_HERMITE_ORDER}]", int),
-    "ensemble_sizes": _Field("distinct", lambda v: is_int(v, 2), "ints >= 2", int),
-    "lambda_grid": _Field("distinct", lambda v: is_real(v, 0), "finite numbers >= 0", float),
+                             f"ints in [0, {MAX_HERMITE_ORDER}]"),
+    "ensemble_sizes": _Field("distinct", lambda v: is_int(v, 2), "ints >= 2"),
+    "lambda_grid": _Field("distinct", lambda v: is_real(v, 0), "finite numbers >= 0"),
     "estimators": _Field("distinct", ESTIMATOR_IDS.__contains__, f"ids from {list(ESTIMATOR_IDS)}"),
     "u_mean": _MEAN, "u_cov": _COV, "x_mean": _MEAN, "x_cov": _COV,
     "truth": _Field("one", ("conditional", "distribution").__contains__,
                     "'conditional' or 'distribution'"),
-    "m_members": _Field("one", lambda v: v is None or is_int(v, 2), "int >= 2 or null", int),
-    "charge_cached": _Field("one", is_flag, "true or false", bool),
+    "m_members": _Field("one", lambda v: v is None or is_int(v, 2), "int >= 2 or null"),
+    "charge_cached": _Field("one", is_flag, "true or false"),
 }
+
+
+def _plain(v):
+    """`v` with each sequence or array as a (nested) tuple and each numpy number as a Python
+    one: the one form a config keeps, so configs hash, compare and serialise alike."""
+    v = v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+    return tuple(map(_plain, v)) if isinstance(v, (list, tuple)) else v
 
 
 @dataclass(frozen=True)
@@ -112,18 +119,20 @@ class BenchConfig:
     m_members: int = None  # decouple M from N (paired family then skips)
     charge_cached: bool = False
 
+    # A covariance reaches its spec as an array: its entries were checked with the config, and
+    # the spec checks an array's in one pass, not one entry at a time.
     def u_spec(self):
         mean = np.zeros(self.dims) if self.u_mean is None else self.u_mean
-        return GaussianSpec(mean=mean, cov=self.u_cov)
+        return GaussianSpec(mean=mean, cov=np.asarray(self.u_cov, dtype=float))
 
     def x_spec(self):
         mean = np.linspace(-2.0, 2.0, self.dims) if self.x_mean is None else self.x_mean
-        return GaussianSpec(mean=mean, cov=self.x_cov)
+        return GaussianSpec(mean=mean, cov=np.asarray(self.x_cov, dtype=float))
 
     def validate(self):
         """Check every field against its `CONFIG_FIELDS` entry, naming each failing field."""
         problems = {}
-        for name, (shape, ok, what, _) in CONFIG_FIELDS.items():
+        for name, (shape, ok, what) in CONFIG_FIELDS.items():
             v = getattr(self, name)
             if shape == "distinct":
                 good = isinstance(v, (tuple, list, np.ndarray)) and len(v) > 0 and all(map(ok, v))
@@ -145,24 +154,16 @@ class BenchConfig:
         return self
 
     def __post_init__(self):
-        self.validate()  # first, or int(), float() and bool() would read true/false as numbers
-        for name, (shape, _, _, entry) in CONFIG_FIELDS.items():
-            v = getattr(self, name)
-            if entry and v is not None:  # numpy scalars are kept as Python ones: they mix badly
-                v = tuple(map(entry, v)) if shape == "distinct" else entry(v)
-                object.__setattr__(self, name, v)
+        self.validate()  # first, or float() would read true/false as numbers
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
+        object.__setattr__(self, "lambda_grid", tuple(map(float, self.lambda_grid)))
 
     def to_dict(self):
-        def plain(v):
-            if isinstance(v, tuple):
-                return [plain(x) for x in v]
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, np.generic):  # a numpy number in a mean or covariance
-                return v.item()
-            return v
+        def lists(v):
+            return [lists(x) for x in v] if isinstance(v, tuple) else v
 
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
@@ -171,8 +172,7 @@ class BenchConfig:
         unknown = sorted(set(d) - set(CONFIG_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_FIELDS)}")
-        seqs = {k for k, f in CONFIG_FIELDS.items() if f.shape in ("distinct", "mean")}
-        return cls(**{k: tuple(v) if k in seqs and isinstance(v, list) else v for k, v in d.items()})
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +498,12 @@ def aggregate(stats):
                                np.array([st.n for _, st in kept]))
     rows = [ResultRow(*key, r, b, st.evals, st.n)
             for (key, st), r, b in zip(kept, rmse.tolist(), bias.tolist())]
-    rows.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
+    rows.sort(key=_row_order)
     return rows
+
+
+def _row_order(r):
+    return r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam
 
 
 def cell_tables(order, n, cell, lambda_grid):
@@ -529,16 +533,13 @@ def cell_tables(order, n, cell, lambda_grid):
 def select_best_lambda(rows, metric="rmse"):
     """Per (estimator, order, N), the row minimising the metric; ties go to
     the smallest lambda, and rows with a non-finite metric are ignored."""
-    if metric not in ("rmse", "bias"):
-        raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
+    require(metric in ("rmse", "bias"), "metric", "'rmse' or 'bias'", metric)
     best = {}
     for row in sorted(rows, key=lambda r: r.lam):
         key, value = (row.estimator, row.order, row.n), getattr(row, metric)
         if math.isfinite(value) and (key not in best or value < getattr(best[key], metric)):
             best[key] = row
-    out = list(best.values())
-    out.sort(key=lambda r: (r.order, r.n, ESTIMATOR_IDS.index(r.estimator), r.lam))
-    return out
+    return sorted(best.values(), key=_row_order)
 
 
 def write_results_csv(path, rows):
@@ -574,8 +575,7 @@ def bootstrap_band(sums, sumsqs, ns, metric="rmse", n_boot=1000, seed=0, q=(2.5,
     from `n_boot` resamples of the blocks with replacement. ValueError for a
     metric other than "rmse" or "bias", an `n_boot` that is not an
     integer >= 1, or no blocks."""
-    if metric not in ("rmse", "bias"):
-        raise ValueError(f"metric must be 'rmse' or 'bias', got {metric!r}")
+    require(metric in ("rmse", "bias"), "metric", "'rmse' or 'bias'", metric)
     require(is_int(n_boot, 1), "n_boot", "an integer >= 1", n_boot)
     c = len(ns)
     if c == 0:
@@ -618,6 +618,8 @@ class DescentConfig:
         require(is_int(self.n_steps, 1), "n_steps", "an integer >= 1", self.n_steps)
         require(np.shape(finite_reals(self.starts))[1:] == (2,) and len(self.starts) > 0, "starts",
                 "a non-empty sequence of 2-D points of finite reals", self.starts)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
 
 
 @dataclass

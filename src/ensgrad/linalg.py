@@ -2,10 +2,10 @@
 
 Notation: a matrix `U` holds one ensemble member per column, `Ut` (U-tilde)
 its column anomalies. Everything here is a pure function of ndarray inputs;
-the estimators are thin compositions of these. `svd`, `damp` and
-`damped_apply` also take stacks of matrices on leading axes, one per
-benchmark trial; nothing is cached here (`estimators.Batch` shares an SVD
-between the estimators and lambdas that need it).
+the estimators are thin compositions of these. `svd` and `damp`
+also take stacks of matrices on leading axes, one per benchmark trial;
+nothing is cached here (`estimators.Batch` shares an SVD and its damped
+singular values between the estimators and lambdas that need it).
 """
 
 from dataclasses import dataclass
@@ -70,18 +70,6 @@ def tikhonov_pinv(a, cfg=PinvConfig()):
         raise DimensionError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     u, s, vt = svd(a)
     return (vt.T * damp(s, (cfg.lam,))[0]) @ u.T
-
-
-def damped_apply(row, damped, projected=None):
-    """`row @ a^+` at every lambda, shape (L, ..., m), for rows (..., k)
-    and `damped = (u, damp(s, lambdas), vt)` from `svd(a)`: the rows are
-    projected once, `vt @ row[..., None]`, and only the damped singular
-    values differ per lambda. That projection does not depend on lambda,
-    so a caller that keeps it may pass it as `projected`."""
-    u, coeffs, vt = damped
-    if projected is None:
-        projected = vt @ row[..., None]
-    return (u @ (coeffs[..., None] * projected))[..., 0]
 
 
 def sample_cross_cov(values, anomalies):

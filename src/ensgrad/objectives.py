@@ -175,7 +175,8 @@ def _member_means(order, X):
 
 
 def hermite_objective(order, dims=5):
-    """Separable Hermite benchmark objective in `dims` dimensions.
+    """Separable Hermite benchmark objective. `dims` is not read: the
+    dimension is that of the arrays it is evaluated on.
 
     Its table means do not form the M x N table: by the binomial
     identity `He_n(x + u) = sum_k C(n, k) He_k(x) u^(n-k)` the x-member mean

@@ -170,25 +170,16 @@ def _absorb(pool, h, word):
 def child_keys(base_seed, lo, hi):
     """The (hi - lo, 2) uint64 Philox keys of trials [lo, hi): row t - lo is
     `child_seed(base_seed, t).generate_state(2, np.uint64)`. The pool after
-    the base seed's words is the same for every trial, so it is hashed once;
-    the spawn words and the state words are hashed as arrays over trials,
+    the base seed's words is the same for every trial: it is numpy's own
+    `SeedSequence(base_seed).pool`, made by `_POOL` hashmixes per base word
+    (padded to `_POOL` words), whose count fixes the hash constant after it.
+    The spawn words and the state words are hashed as arrays over trials,
     one group per spawn-word count."""
     if base_seed < 0 or lo < 0:
         raise ValueError(f"expected non-negative seed and trials, got {base_seed}, {lo}")
-    words = _words(int(base_seed))
-    words += [0] * (_POOL - len(words))  # a spawned sequence pads its entropy to the pool
-    pool, h = [], _INIT_A
-    for w in words[:_POOL]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for s in range(_POOL):
-        for d in range(_POOL):
-            if s != d:
-                v, h = _hashmix(pool[s], h)
-                pool[d] = _mix(pool[d], v)
-    pool = np.array(pool, np.uint32)[:, None]
-    for w in words[_POOL:]:
-        pool, h = _absorb(pool, h, w)
+    base_seed = int(base_seed)
+    pool = np.random.SeedSequence(base_seed).pool[:, None]
+    h = _INIT_A * pow(_MULT_A, _POOL * max(len(_words(base_seed)), _POOL), 1 << 32) & _MASK32
     keys = np.empty((hi - lo, 2), np.uint64)
     start = lo
     while start < hi:

@@ -445,9 +445,13 @@ class TestAccounting:
         obj = CountingObjective(hermite_objective(3, dims=D))
         estimate(obj, x, u, spec_for("paired", 0.0))
         memo = obj._memos[0][1]
-        projected = memo[("projected", "values", "U")]
+        key = next(k for k in memo if k[0] == "plan")
+        plan = memo[key][0]
         estimate(obj, x, u, spec_for("paired", 0.1))
-        assert memo[("projected", "values", "U")] is projected
+        # the second lambda reuses the plan, which holds the projection, and the matrix's one
+        # memo entry, which now holds the damped values of both lambdas
+        assert memo[key][0] is plan and plan[0] == "regress"
+        assert plan[1] is memo[("svd", "U")] and set(plan[1][3]) == {(0.0,), (0.1,)}
 
     def test_degenerate_pair_raises_at_every_lambda_of_a_sweep(self):
         # the pair check is memoised with the pair differences, so a pair
@@ -595,7 +599,7 @@ class TestSharedMemo:
         assert shared == {}
         estimate_batch(Batch(self.OBJECTIVES[0], X, U, shared=shared),
                        EstimatorSpec(kind="paired"), self.GRID)
-        _, s, _ = shared[("svd", "U")]
+        _, s, _, _ = shared[("svd", "U")]
         assert np.array_equal(s, svd(U.anomalies)[1])
 
 

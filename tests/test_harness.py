@@ -1,5 +1,6 @@
 """Benchmark harness: accumulation, the batched blocks, aggregation, descent."""
 
+import hashlib
 import json
 import os
 import re
@@ -143,6 +144,44 @@ class TestBenchConfig:
             BenchConfig(n_trials=0)
         with pytest.raises(ConfigError, match="^dims: expected"):
             replace(SMALL, dims=2.5)
+
+    # The same values in the forms a caller may give them: lists, tuples, arrays (0-d too) and
+    # numpy numbers, with the SHA-256 of their sorted JSON (a manifest's `config_sha256`) as it
+    # was before configs kept one form, when all but the last form of each could be serialised.
+    FORMS = [
+        ({"u_mean": [0.5, -1.0], "u_cov": [[0.25, 0.0625], [0.0625, 0.5]], "x_cov": 0.125},
+         {"u_mean": (0.5, -1.0), "u_cov": ((0.25, 0.0625), (0.0625, 0.5)),
+          "x_cov": np.float64(0.125)},
+         {"u_mean": np.array([0.5, -1.0]), "u_cov": np.array([[0.25, 0.0625], [0.0625, 0.5]]),
+          "x_cov": np.array(0.125)},
+         {"u_mean": (np.float32(0.5), -1.0), "u_cov": (np.array([0.25, 0.0625]),
+                                                       (np.float32(0.0625), 0.5)),
+          "x_cov": np.float32(0.125)},
+         {"u_mean": [np.float32(0.5), -1.0], "u_cov": [np.array([0.25, 0.0625]),
+                                                       (np.float32(0.0625), 0.5)],
+          "x_cov": np.float32(0.125)}),
+        ({"x_cov": [1, 2]}, {"x_cov": (1, 2)}, {"x_cov": np.array([1, 2])},
+         {"x_cov": [np.int64(1), np.uint8(2)]}),
+    ]
+    FORM_SHA256 = ("7e8a8b5444dab8baf620c92d416f92e0dd58479fca56ac8d7137cb4239e93cec",
+                   "99dc8042d6793127e290734dd8e9ea67f9671c677731120958256dad1b227ddb")
+
+    @pytest.mark.parametrize("forms,sha", list(zip(FORMS, FORM_SHA256)), ids=["floats", "ints"])
+    def test_every_form_of_a_value_gives_one_config(self, forms, sha):
+        cfgs = [BenchConfig(dims=2, **form) for form in forms]
+        for cfg in cfgs:
+            assert cfg == cfgs[0] and hash(cfg) == hash(cfgs[0])
+            blob = json.dumps(cfg.to_dict(), sort_keys=True)
+            assert BenchConfig.from_dict(json.loads(blob)) == cfg
+            assert hashlib.sha256(blob.encode()).hexdigest() == sha
+
+    def test_descent_starts_in_any_form_give_one_config(self):
+        starts = [[1.0, -2.0], [0.5, np.float32(0.25)]]
+        cfgs = [DescentConfig(starts=form) for form in
+                (starts, tuple(map(tuple, starts)), np.array(starts))]
+        for cfg in cfgs:
+            assert cfg == cfgs[0] and hash(cfg) == hash(cfgs[0])
+        assert cfgs[0].starts == ((1.0, -2.0), (0.5, 0.25))
 
     def test_numpy_scalars_run_with_the_same_bits(self):
         # the np.int64 and np.bool_ that EstimatorSpec takes; to_dict keeps them JSON-safe

@@ -16,6 +16,7 @@ from ensgrad.estimators import (
     SUBSAMPLED_IDS,
     Batch,
     EstimatorSpec,
+    _at,
     estimate,
     estimate_batch,
 )
@@ -32,7 +33,7 @@ from ensgrad.harness import (
     run_bench,
     run_rastrigin_demo,
 )
-from ensgrad.linalg import RANK_RTOL, PinvConfig, damp, damped_apply, svd, tikhonov_pinv
+from ensgrad.linalg import RANK_RTOL, PinvConfig, damp, svd, tikhonov_pinv
 from ensgrad.objectives import (
     bilinear_grad,
     bilinear_objective,
@@ -202,7 +203,8 @@ def test_damped_apply_equals_row_times_pinv(seed, stack, m, k, rank, lams):
     a, rng = random_stack(seed, stack, m, k, rank)
     rows = rng.standard_normal((stack, k))
     u, s, vt = svd(a)
-    got = damped_apply(rows, (u, damp(s, lams), vt))
+    # a "regress" plan, as estimators._regress builds it for the rows of `a`
+    got = _at(("regress", (u, s, vt, {}), vt @ rows[..., None]), tuple(lams))
     assert got.shape == (len(lams), stack, m)
     for l, lam in enumerate(lams):
         for i in range(stack):
