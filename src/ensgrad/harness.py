@@ -3,21 +3,24 @@
 Repeats, over many independent trials, the estimation of the expected
 gradient of a separable Hermite objective under Gaussian control and
 uncertainty ensembles, then aggregates signed per-dimension errors into
-RMSE/bias tables over a regularisation grid. `_draw_trials` draws a range of
-trials straight into stacked `Ensemble`s, each trial from its own child
-stream. `run_bench` runs a block of trials in sub-batches of bounded size:
-trial t reads the same stream at every Hermite order, so each sub-batch is
-drawn once for all orders, and per order each estimator makes one
-`estimate_batch` call over the whole lambda grid, sharing the sub-batch's
-evaluations and the controls' SVDs through `Batch`. A run's one store is a
-read-only `CellTotals` per (order, N): its blocks' error moments in trial
-order and their totals. `cell_tables` turns a cell into RMSE/bias rows in
-one array pass, `block_arrays` reads its blocks for bootstrap bands, and
-`aggregate` turns `BenchResult.stats`, its per-key `ErrorStats` view, into
-rows. The CLI sizes its blocks in trials, at most `BLOCK_TRIALS` each.
-`run_trial` is the plain composition of per-call `estimate()`s on the same
-draws, one trial and one lambda at a time, which the tests pin the blocks
-against. The truth is in closed form (`objectives.hermite_expected_grad`).
+RMSE/bias tables over a regularisation grid. A `BenchConfig` keeps the u and
+x `GaussianSpec`s that its check builds: a run builds none. `_draw_trials`
+draws a range of trials straight into stacked `Ensemble`s, each trial from
+its own child stream, around the kept specs' read-only means, which it
+shares, not copies. `run_bench` runs a block of trials in sub-batches of
+bounded size: trial t reads the same stream at every Hermite order, so each
+sub-batch is drawn once for all orders, and each order runs all of them
+before the next; per order each estimator makes one `estimate_batch` call
+over the whole lambda grid, sharing the sub-batch's evaluations and the
+controls' SVDs through `Batch`. A run's one store is a read-only
+`CellTotals` per (order, N): its blocks' error moments in trial order and
+their totals. `cell_tables` turns a cell into RMSE/bias rows in one array
+pass, `block_arrays` reads its blocks for bootstrap bands, and `aggregate`
+turns `BenchResult.stats`, its per-key `ErrorStats` view, into rows. The CLI
+sizes its blocks in trials, at most `BLOCK_TRIALS` each. `run_trial` is the
+plain composition of per-call `estimate()`s on the same draws, one trial and
+one lambda at a time, which the tests pin the blocks against. The truth is
+in closed form (`objectives.hermite_expected_grad`).
 
 Also here: the deterministic steepest-descent demo on the stretched
 Rastrigin surface and the control-variate variance-reduction law check.
@@ -57,7 +60,7 @@ TRAJECTORY_HEADER = ("start_id", "step", "u1", "u2", "loss_exact", "loss_blurred
 
 DEFAULT_LAMBDAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0)
 DEFAULT_SIZES = (3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100)
-MAX_DIMS = 1000  # validate() and every block factor a dims x dims covariance
+MAX_DIMS = 1000  # validate() factors a dims x dims covariance, and every sub-batch applies it
 # Trials per block of the CLI's runs: the block of the default 10^4-trial run
 # at run_bench's 50 blocks per cell, so that run keeps its bits while shorter
 # runs make fewer, larger blocks.
@@ -119,19 +122,17 @@ class BenchConfig:
     m_members: int = None  # decouple M from N (paired family then skips)
     charge_cached: bool = False
 
-    # A covariance reaches its spec as an array: its entries were checked with the config, and
-    # the spec checks an array's in one pass, not one entry at a time.
+    # The specs that `validate` built and kept: a run reads them, and builds none of its own.
     def u_spec(self):
-        mean = np.zeros(self.dims) if self.u_mean is None else self.u_mean
-        return GaussianSpec(mean=mean, cov=np.asarray(self.u_cov, dtype=float))
+        return self._specs["u"]
 
     def x_spec(self):
-        mean = np.linspace(-2.0, 2.0, self.dims) if self.x_mean is None else self.x_mean
-        return GaussianSpec(mean=mean, cov=np.asarray(self.x_cov, dtype=float))
+        return self._specs["x"]
 
     def validate(self):
-        """Check every field against its `CONFIG_FIELDS` entry, naming each failing field."""
-        problems = {}
+        """Check every field against its `CONFIG_FIELDS` entry, naming each failing field, and
+        keep the u and x `GaussianSpec`s that the covariance check builds, outside the fields."""
+        problems, specs = {}, {}
         for name, (shape, ok, what) in CONFIG_FIELDS.items():
             v = getattr(self, name)
             if shape == "distinct":
@@ -145,12 +146,16 @@ class BenchConfig:
             elif shape == "mean" and v is not None and len(v) != self.dims and "dims" not in problems:
                 problems[name] = f"length {len(v)} != dims {self.dims}"
             elif shape == "cov" and not problems.keys() & {"dims", name[0] + "_mean"}:
-                try:  # u_cov factors u_spec() and x_cov x_spec(), each on its own
-                    getattr(self, name[0] + "_spec")()
+                mean = getattr(self, name[0] + "_mean")  # default: u at 0, x over [-2, 2]
+                if mean is None:
+                    mean = np.zeros(self.dims) if name[0] == "u" else np.linspace(-2.0, 2.0, self.dims)
+                try:  # as an array, whose checked entries the spec reads in one pass
+                    specs[name[0]] = GaussianSpec(mean=mean, cov=np.asarray(v, dtype=float))
                 except ValueError as e:  # includes LinAlgError and DimensionError
                     problems[name] = str(e)
         if problems:
             raise ConfigError("; ".join(f"{k}: {p}" for k, p in problems.items()))
+        object.__setattr__(self, "_specs", specs)
         return self
 
     def __post_init__(self):
@@ -269,23 +274,9 @@ def _block_batch_size(dims, m, n):
     return max(1, min(512, int(2.0e6 // max(1, dims * m * n))))
 
 
-def _sub_batches(cfg, n, lo, hi):
-    """Trials [lo, hi) at size `n`, drawn once for every order, in
-    sub-batches of bounded size: per sub-batch, the x-member Ensemble and,
-    for the controls and the pooled controls, `(Ensemble, shared memo)`.
-    The memo holds the controls' SVDs and anomalies, which no objective
-    changes."""
-    step = _block_batch_size(cfg.dims, cfg.m_members or n, n)
-    subs = []
-    for blo in range(lo, hi, step):
-        x_ens, u_ens, vw_ens = _draw_trials(cfg, n, blo, min(blo + step, hi))
-        subs.append((x_ens, {False: (u_ens, {}), True: (vw_ens, {})}))
-    return subs
-
-
 def _run_block(cfg, order, subs):
     """Error moments and skip reasons of one order on a block's sub-batches
-    (`_sub_batches`): one `estimate_batch` call per estimator and sub-batch
+    (`_run_group`): one `estimate_batch` call per estimator and sub-batch
     over the whole lambda grid. Per estimator the moments are `[sums,
     trials, evals, cached]`, with `sums` (2, L, d): the signed errors and
     their squares summed over trials, per lambda, one trial after another
@@ -321,9 +312,14 @@ def _run_block(cfg, order, subs):
 def _run_group(cfg, n, lo, hi):
     """`_run_block` of each configured order on trials [lo, hi) at size
     `n`, yielded as each order finishes, or the `"Type: message"` of one
-    that raised; the orders share one draw and one set of control
-    factorisations."""
-    subs = _sub_batches(cfg, n, lo, hi)
+    that raised. The trials are drawn once for every order, in sub-batches
+    of bounded size: per sub-batch, the x-member Ensemble and, for the
+    controls and the pooled controls, `(Ensemble, shared memo)`. The memo
+    holds the controls' SVDs and anomalies, which no objective changes, so
+    the orders share one set of control factorisations."""
+    step = _block_batch_size(cfg.dims, cfg.m_members or n, n)
+    subs = [(x_ens, {False: (u_ens, {}), True: (vw_ens, {})}) for x_ens, u_ens, vw_ens in
+            (_draw_trials(cfg, n, b, min(b + step, hi)) for b in range(lo, hi, step))]
     for order in cfg.hermite_orders:
         try:
             part = _run_block(cfg, order, subs)

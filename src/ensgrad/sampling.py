@@ -29,7 +29,7 @@ class GaussianSpec:
     a full (d, d) matrix, read once when the spec is built: an entry that is
     not a finite real, a covariance of another dim than the mean, a negative
     or indefinite one, or a non-finite factor raises there. `variances` (d,)
-    is its diagonal; it, `factor()` and an array `cov` are read-only."""
+    is its diagonal; it, `mean`, `factor()` and an array `cov` are read-only."""
 
     mean: np.ndarray
     cov: object = 1.0
@@ -59,10 +59,13 @@ class GaussianSpec:
             else:
                 factor, variances = _full_factor(cov), np.diag(cov)  # only this one can overflow
                 require(np.isfinite(factor).all(), "cov", "a matrix with a finite factor", self.cov)
-        factor.flags.writeable = variances.flags.writeable = False
+        mean.flags.writeable = factor.flags.writeable = variances.flags.writeable = False
         for name, value in zip(("mean", "cov", "variances", "_factor"),
                                (mean, cov, variances, factor)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # a copy, a pickled one too, is built anew: its arrays stay read-only
+        return GaussianSpec, (self.mean, self.cov)
 
     @property
     def dim(self):

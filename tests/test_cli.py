@@ -237,14 +237,14 @@ class TestBench:
     def test_partial_failure_keeps_good_cells(self, tmp_path, capsys, monkeypatch):
         import ensgrad.harness as harness_mod
 
-        real = harness_mod._run_block
+        real = harness_mod.hermite_objective
 
-        def flaky(cfg, order, subs):
+        def flaky(order, dims):
             if order == 1:
                 raise RuntimeError("synthetic cell failure")
-            return real(cfg, order, subs)
+            return real(order, dims)
 
-        monkeypatch.setattr(harness_mod, "_run_block", flaky)
+        monkeypatch.setattr(harness_mod, "hermite_objective", flaky)
         cfg = write_cfg(tmp_path / "cfg.json", dict(BENCH_CFG, hermite_orders=[0, 1]))
         out = tmp_path / "out"
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", out)
@@ -310,13 +310,13 @@ class TestBench:
     def test_cell_line_prints_before_the_next_cell_runs(self, tmp_path, capsys, monkeypatch):
         import ensgrad.harness as harness_mod
 
-        real, seen = harness_mod._run_block, []
+        real, seen = harness_mod.hermite_objective, []
 
-        def block(cfg, order, subs):
+        def objective(order, dims):  # made once per order and block, before the block runs
             seen.append(capsys.readouterr().err.count(" done\n"))  # lines since the last cell
-            return real(cfg, order, subs)
+            return real(order, dims)
 
-        monkeypatch.setattr(harness_mod, "_run_block", block)
+        monkeypatch.setattr(harness_mod, "hermite_objective", objective)
         cfg = write_cfg(tmp_path / "cfg.json",
                         dict(BENCH_CFG, hermite_orders=[0, 2, 3], ensemble_sizes=[5, 6]))
         rc, _, err = run(capsys, "bench", "--config", cfg, "--out", tmp_path / "o")
@@ -326,9 +326,10 @@ class TestBench:
 
     def _two_sizes_on_pools(self, tmp_path, capsys, monkeypatch, name, hook):
         """Orders 0 and 3 at N=6, then at N=7, with two workers and two
-        blocks a cell; `hook` runs on the arguments of every call of
-        harness's `name` first. Returns (rc, stderr, out dir, the pools made,
-        the `workers` of each run_bench call)."""
+        blocks a cell; `hook` runs on the arguments of every call that
+        harness makes to the public function `name`, before the call.
+        Returns (rc, stderr, out dir, the pools made, the `workers` of each
+        run_bench call)."""
         import ensgrad.cli as cli_mod
         import ensgrad.harness as harness_mod
 
@@ -366,12 +367,12 @@ class TestBench:
         assert any("PARTIAL RESULTS" in note for note in man["notes"])
 
     def test_failing_cell_under_two_workers(self, tmp_path, capsys, monkeypatch):
-        def fail(cfg, order, subs):
+        def fail(order, dims):  # once per order and block
             if order == 0:
                 raise RuntimeError("synthetic block failure")
 
         rc, err, out, pools, calls = self._two_sizes_on_pools(tmp_path, capsys, monkeypatch,
-                                                              "_run_block", fail)
+                                                              "hermite_objective", fail)
         assert rc == 1
         assert "order=0 N=6: RuntimeError: synthetic block failure" in err
         assert "order=0 N=7: RuntimeError: synthetic block failure" in err
@@ -381,12 +382,12 @@ class TestBench:
     def test_dead_worker_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
 
-        def die(cfg, n, lo, hi):
-            if n == 6 and os.getpid() != parent:
+        def die(batch, spec, lambdas):
+            if batch.U.n == 6 and os.getpid() != parent:  # N=6's controls, not its pooled 2N
                 os._exit(1)
 
         rc, err, out, pools, calls = self._two_sizes_on_pools(tmp_path, capsys, monkeypatch,
-                                                              "_sub_batches", die)
+                                                              "estimate_batch", die)
         assert rc == 1
         # the dead worker's task ran both orders at N=6; N=7 runs on a new pool
         assert "order=0 N=6: BrokenProcessPool" in err

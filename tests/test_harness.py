@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 from concurrent.futures import Executor
 from dataclasses import fields, replace
@@ -20,7 +21,6 @@ from ensgrad.harness import (
     DescentConfig,
     ErrorStats,
     ResultRow,
-    _draw_trials,
     _run_group,
     aggregate,
     block_arrays,
@@ -35,6 +35,7 @@ from ensgrad.harness import (
     write_results_csv,
 )
 from ensgrad.objectives import MAX_HERMITE_ORDER
+from ensgrad.sampling import GaussianSpec
 
 from golden_fixture import trial_stats
 from test_cli import read_results
@@ -174,6 +175,8 @@ class TestBenchConfig:
             blob = json.dumps(cfg.to_dict(), sort_keys=True)
             assert BenchConfig.from_dict(json.loads(blob)) == cfg
             assert hashlib.sha256(blob.encode()).hexdigest() == sha
+            for kept, fresh in zip((cfg.u_spec(), cfg.x_spec()), fresh_specs(cfg)):
+                assert_same_spec(kept, fresh)
 
     def test_descent_starts_in_any_form_give_one_config(self):
         starts = [[1.0, -2.0], [0.5, np.float32(0.25)]]
@@ -195,6 +198,93 @@ class TestBenchConfig:
         assert got.cells.keys() == want.cells.keys()
         for key, cell in want.cells.items():
             assert got.cells[key].sums.tobytes() == cell.sums.tobytes()
+
+
+def fresh_specs(cfg):
+    """The u and x `GaussianSpec`s built anew from a config's stored fields."""
+    u_mean = np.zeros(cfg.dims) if cfg.u_mean is None else cfg.u_mean
+    x_mean = np.linspace(-2.0, 2.0, cfg.dims) if cfg.x_mean is None else cfg.x_mean
+    return GaussianSpec(u_mean, cfg.u_cov), GaussianSpec(x_mean, cfg.x_cov)
+
+
+def assert_same_spec(a, b):
+    for name in ("mean", "cov", "variances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.factor(), b.factor())
+
+
+# dims 20 and N = 100 make sub-batches of 10 trials
+KEPT = BenchConfig(n_trials=10, dims=20, hermite_orders=(2, 3), ensemble_sizes=(100,),
+                   lambda_grid=(0.0, 1e-2), estimators=("stosag", "gen_stosag", "avg_grad"))
+FULL_COV = 0.01 * (0.5 * np.eye(20) + 0.5)  # positive definite, each pair correlated 1/2
+
+
+class TestKeptSpecs:
+    """A config keeps the specs its check built: a run builds none, and
+    reads them without a copy."""
+
+    @pytest.mark.parametrize("u_cov", [0.01, FULL_COV], ids=["scalar", "full"])
+    @pytest.mark.parametrize("n_trials", [10, 30], ids=["1-sub-batch", "3-sub-batches"])
+    @pytest.mark.parametrize("orders", [(3,), (2, 3, 5)], ids=["1-order", "3-orders"])
+    def test_a_run_builds_no_spec(self, monkeypatch, u_cov, n_trials, orders):
+        import ensgrad.harness as harness_mod
+
+        cfg = replace(KEPT, n_trials=n_trials, u_cov=u_cov, hermite_orders=orders)
+        built, draws, real_init = [], [], GaussianSpec.__post_init__
+        real_draw = harness_mod.child_normals
+
+        def init(spec):
+            built.append(spec)
+            real_init(spec)
+
+        def draw(*args):  # once per sub-batch
+            draws.append(args)
+            return real_draw(*args)
+
+        monkeypatch.setattr(GaussianSpec, "__post_init__", init)
+        monkeypatch.setattr(harness_mod, "child_normals", draw)
+        res = run_bench(cfg, blocks_per_cell=1)
+        assert len(draws) == n_trials // 10  # the block's sub-batches
+        run_trial(cfg, 3, 100, n_trials - 1)
+        assert not res.failures and len(res.stats) == len(orders) * 3 * 2
+        assert built == []
+
+    def test_config_unchanged_by_a_run(self):
+        cfg = replace(KEPT, u_cov=FULL_COV)
+        before = (hash(cfg), cfg.to_dict(), pickle.dumps(cfg))
+        run_bench(cfg, blocks_per_cell=1)
+        assert (hash(cfg), cfg.to_dict(), pickle.dumps(cfg)) == before
+        again = pickle.loads(before[2])
+        assert again == cfg and hash(again) == hash(cfg)
+        for a, b in zip((again.u_spec(), again.x_spec()), (cfg.u_spec(), cfg.x_spec())):
+            assert_same_spec(a, b)
+
+    def test_replace_gets_its_own_specs(self):
+        cfg = replace(KEPT, u_cov=FULL_COV)
+        other = replace(cfg, u_cov=np.diag(FULL_COV))
+        assert other.x_spec() is not cfg.x_spec()
+        for kept, fresh in zip((other.u_spec(), other.x_spec()), fresh_specs(other)):
+            assert_same_spec(kept, fresh)
+        assert other.u_spec().cov.shape == (20,) and cfg.u_spec().cov.shape == (20, 20)
+
+    def test_a_run_reads_the_kept_means_read_only(self, monkeypatch):
+        import ensgrad.harness as harness_mod
+
+        real, batches = harness_mod.estimate_batch, []
+
+        def kept(batch, spec, lambdas):
+            batches.append(batch)
+            return real(batch, spec, lambdas)
+
+        monkeypatch.setattr(harness_mod, "estimate_batch", kept)
+        run_bench(KEPT, blocks_per_cell=1)
+        assert batches
+        for batch in batches:
+            assert batch.X.true_mean is KEPT.x_spec().mean
+            assert batch.U.true_mean is KEPT.u_spec().mean
+            for ens in (batch.X, batch.U):
+                with pytest.raises(ValueError, match="read-only"):
+                    ens.true_mean[0] = 1.0
 
 
 def _stats(errors, evals=0):
@@ -437,17 +527,15 @@ class TestRunBench:
         import ensgrad.harness as harness_mod
 
         full = run_bench(SMALL, blocks_per_cell=4)
-        real, calls = harness_mod._run_block, []
+        real, calls = harness_mod.estimate_batch, []
 
-        def second_block_skips_stosag(cfg, order, subs):
-            moments, skips = real(cfg, order, subs)
-            calls.append(order)
-            if len(calls) == 2:
-                del moments["stosag"]
-                skips["stosag"] = "degenerate"
-            return moments, skips
+        def second_block_skips_stosag(batch, spec, lambdas):  # one sub-batch a block
+            calls.append(spec.kind)
+            if spec.kind == "stosag" and calls.count("stosag") == 2:
+                raise ValueError("degenerate")
+            return real(batch, spec, lambdas)
 
-        monkeypatch.setattr(harness_mod, "_run_block", second_block_skips_stosag)
+        monkeypatch.setattr(harness_mod, "estimate_batch", second_block_skips_stosag)
         res = run_bench(SMALL, blocks_per_cell=4)
         cell = res.cells[(3, 6)]
         assert list(cell.block_trials[cell.estimators.index("stosag")]) == [10, 0, 10, 10]
@@ -496,19 +584,19 @@ class TestRunBench:
         the N's after the first never start."""
         import ensgrad.harness as harness_mod
 
-        real, started = harness_mod._sub_batches, tmp_path / "started"
+        real, started = harness_mod.child_normals, tmp_path / "started"
+        cfg = replace(SMALL, n_trials=8, hermite_orders=(2, 3), ensemble_sizes=(5, 6, 7),
+                      lambda_grid=(0.0,))
 
-        def counted(cfg, n, lo, hi):
+        def counted(base_seed, lo, hi, width):  # once per sub-batch: one per block here
             with open(started, "a") as f:  # forked workers inherit the patch
-                f.write(f"{n}\n")
-            return real(cfg, n, lo, hi)
+                f.write(f"{width // (4 * cfg.dims)}\n")  # M + N + 2M normals per dim, M = N
+            return real(base_seed, lo, hi, width)
 
         def stop(order, n):
             raise RuntimeError("stop")
 
-        monkeypatch.setattr(harness_mod, "_sub_batches", counted)
-        cfg = replace(SMALL, n_trials=8, hermite_orders=(2, 3), ensemble_sizes=(5, 6, 7),
-                      lambda_grid=(0.0,))
+        monkeypatch.setattr(harness_mod, "child_normals", counted)
         with pytest.raises(RuntimeError, match="stop"):
             run_bench(cfg, workers=2, blocks_per_cell=4, progress=stop)
         assert started.read_text().split() == ["5"] * 4  # the first N's blocks only
@@ -518,19 +606,19 @@ class TestRunBench:
 
         cfg = replace(SMALL, n_trials=4, hermite_orders=(0, 3), ensemble_sizes=(6, 7))
         serial = run_bench(cfg, blocks_per_cell=2)
-        real, parent, pools, calls = harness_mod._sub_batches, os.getpid(), [], []
+        real, parent, pools, calls = harness_mod.estimate_batch, os.getpid(), [], []
 
-        def die(cfg, n, lo, hi):
-            if n == 6 and os.getpid() != parent:
+        def die(batch, spec, lambdas):
+            if batch.U.n == 6 and os.getpid() != parent:  # N=6's controls, not its pooled 2N
                 os._exit(1)
-            return real(cfg, n, lo, hi)
+            return real(batch, spec, lambdas)
 
         class Pool(harness_mod.ProcessPoolExecutor):
             def __init__(self, *a, **kw):
                 super().__init__(*a, **kw)
                 pools.append(self)
 
-        monkeypatch.setattr(harness_mod, "_sub_batches", die)  # forked workers inherit it
+        monkeypatch.setattr(harness_mod, "estimate_batch", die)  # forked workers inherit it
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Pool)
         res = run_bench(cfg, workers=2, blocks_per_cell=2,
                         progress=lambda order, n: calls.append((order, n)))
@@ -583,15 +671,15 @@ class TestOrdersShareDraws:
     def test_failing_order_fails_alone(self, one_order_runs, monkeypatch):
         import ensgrad.harness as harness_mod
 
-        real, calls = harness_mod._run_block, []
+        real, calls = harness_mod.hermite_objective, []
 
-        def flaky(cfg, order, subs):
+        def flaky(order, dims):  # once per order and block
             calls.append(order)
             if order == 3 and calls.count(3) > 1:  # its first block runs, the rest fail
                 raise RuntimeError("synthetic order failure")
-            return real(cfg, order, subs)
+            return real(order, dims)
 
-        monkeypatch.setattr(harness_mod, "_run_block", flaky)
+        monkeypatch.setattr(harness_mod, "hermite_objective", flaky)
         res = run_bench(SHARED, blocks_per_cell=2)
         assert res.failures == {(3, n): "RuntimeError: synthetic order failure"
                                 for n in SHARED.ensemble_sizes}
@@ -614,7 +702,8 @@ class TestOrdersShareDraws:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(harness_mod, "_draw_trials", counted("draws", _draw_trials))
+        monkeypatch.setattr(harness_mod, "child_normals",  # the normals of one sub-batch
+                            counted("draws", harness_mod.child_normals))
         monkeypatch.setattr(estimators_mod, "svd", counted("svds", estimators_mod.svd))
         cfg = replace(SHARED, hermite_orders=(2, 3, 5))
         calls = []
@@ -635,14 +724,14 @@ class TestOrdersShareDraws:
     def test_failed_cell_reported_once(self, monkeypatch, workers):
         import ensgrad.harness as harness_mod
 
-        real = harness_mod._run_block
+        real = harness_mod.estimate_batch
 
-        def failing(cfg, order, subs):  # both blocks of the cell (3, 6)
-            if order == 3 and subs[0][0].n == 6:
+        def failing(batch, spec, lambdas):  # both blocks of the cell (3, 6)
+            if batch.obj.name == "hermite3" and batch.U.n == 6:
                 raise RuntimeError("synthetic order failure")
-            return real(cfg, order, subs)
+            return real(batch, spec, lambdas)
 
-        monkeypatch.setattr(harness_mod, "_run_block", failing)
+        monkeypatch.setattr(harness_mod, "estimate_batch", failing)
         calls = []
         res = run_bench(SHARED, workers=workers, blocks_per_cell=2,
                         progress=lambda order, n: calls.append((order, n)))

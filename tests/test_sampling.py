@@ -1,5 +1,6 @@
 """Ensemble draws, reshaping, and the decorrelation transform."""
 
+import pickle
 import re
 import warnings
 
@@ -105,7 +106,9 @@ class TestDraws:
         l = spec.factor()
         assert l is spec.factor()
         assert np.array_equal(l, self.factor_per_call(cov, 3))
-        for a in (l, spec.variances):
+        copy = pickle.loads(pickle.dumps(spec))  # as a worker gets it
+        assert np.array_equal(copy.factor(), l) and np.array_equal(copy.mean, spec.mean)
+        for a in (l, spec.variances, spec.mean, copy.factor(), copy.variances, copy.mean):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 

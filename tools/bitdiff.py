@@ -13,6 +13,14 @@ per tree:
   one block per cell, on 1 and on 2 workers (`t25-seed5-w2` runs in process
   too: one block per cell is one task per N, which starts no pool); and at
   90 trials and seed 11, three blocks per cell;
+- the stats SHA-256 of the runs off the default shape, where the config's
+  kept specs act (`wide_runs`, `drawn_runs`): three dims-50 configs, each
+  at 1 and 3 blocks per cell (a scalar covariance; a full one with the
+  distribution truth, whose 3-block run goes through a 2-worker pool; and
+  `m_members=30` with `charge_cached`), and 8 small configs drawn from a
+  fixed seed, which vary dims from 1 to 8, scalar, diagonal and full
+  covariances, both truths, `m_members`, `charge_cached`, the estimator
+  subset and the lambda grid;
 - the SHA-256 of `results.csv` and `best_lambda.csv` written by `ensgrad
   bench --trials 201 --seed 5 --workers 2` on `tests/test_cli.py`'s PIN_CFG
   (`cli-pin-t201-w2`): two blocks per cell, the run that exercises the pool;
@@ -197,6 +205,64 @@ def console_digests(tmp):
     return got
 
 
+def wide_runs():
+    """`d50-*`: three dims-50 configs at 1 and 3 blocks per cell, whose
+    1-block runs span several sub-batches: a scalar covariance; a full one
+    with `truth="distribution"`, its 3-block run on 2 workers; and
+    `m_members=30` with `charge_cached`. Name -> (config, workers, blocks)."""
+    import numpy as np
+
+    from ensgrad.harness import BenchConfig
+
+    a = np.random.default_rng(50).standard_normal((50, 50))
+    base = dict(dims=50, n_trials=24, hermite_orders=(2, 5), ensemble_sizes=(5, 60),
+                lambda_grid=(0.0, 1e-2, 1.0))
+    cfgs = {"scalar": BenchConfig(base_seed=50, **base),
+            "full-dist": BenchConfig(base_seed=51, u_cov=0.01 * (a @ a.T / 50 + 0.1 * np.eye(50)),
+                                     truth="distribution", **base),
+            "m30-cached": BenchConfig(base_seed=52, m_members=30, charge_cached=True, **base)}
+    return {f"d50-{name}-b{b}{'-w2' if w > 1 else ''}": (cfg, w, b)
+            for name, cfg in cfgs.items() for b, w in ((1, 1), (3, 2 if "full" in name else 1))}
+
+
+def drawn_runs(k=8, seed=2031):
+    """`drawn-*`: `k` small configs drawn from a fixed seed, with dims 1-8; u
+    and x covariances scalar, diagonal or full; both truths; `m_members` set
+    or not; `charge_cached` on or off; an estimator subset; a lambda grid of
+    up to 4 values, `(0.0,)` in every fourth; and 1-3 blocks per cell."""
+    import numpy as np
+
+    from ensgrad.estimators import ESTIMATOR_IDS
+    from ensgrad.harness import DEFAULT_LAMBDAS, BenchConfig
+
+    g, runs = np.random.default_rng(seed), {}
+
+    def cov(kind, d, scale):
+        if kind == 0:
+            return scale
+        if kind == 1:
+            return scale * g.uniform(0.5, 2.0, d)
+        a = g.standard_normal((d, d))
+        return scale * (a @ a.T / d + 0.2 * np.eye(d))
+
+    for i in range(k):
+        d = int(g.integers(1, 9))
+        estimators = g.choice(ESTIMATOR_IDS, int(g.integers(1, len(ESTIMATOR_IDS) + 1)), False)
+        lambdas = (0.0,) if i % 4 == 0 else g.choice(DEFAULT_LAMBDAS, int(g.integers(1, 5)), False)
+        cfg = BenchConfig(
+            base_seed=int(g.integers(2**32)), n_trials=int(g.integers(4, 40)), dims=d,
+            hermite_orders=g.choice(7, int(g.integers(1, 4)), False),
+            ensemble_sizes=g.choice(np.arange(2, 16), int(g.integers(1, 4)), False),
+            lambda_grid=lambdas, estimators=estimators,
+            u_mean=g.normal(0.0, 0.2, d) if i % 2 else None, u_cov=cov(i % 3, d, 0.01),
+            x_mean=g.normal(0.0, 1.0, d) if i % 3 == 1 else None,
+            x_cov=cov((i + 1) % 3, d, 0.25), truth=("conditional", "distribution")[i % 2],
+            m_members=int(g.integers(2, 12)) if i % 4 in (1, 2) else None,
+            charge_cached=i % 4 >= 2)
+        runs[f"drawn-{i}"] = (cfg, 1, int(g.integers(1, 4)))
+    return runs
+
+
 def digests(cfg_path, out_dir):
     """The digests of this process's `ensgrad`, by run name."""
     from ensgrad.harness import BenchConfig, run_bench
@@ -209,7 +275,7 @@ def digests(cfg_path, out_dir):
         "t25-seed5-w1": (BenchConfig(n_trials=25, base_seed=5), 1, 1),
         "t25-seed5-w2": (BenchConfig(n_trials=25, base_seed=5), 2, 1),
         "t90-seed11-b3": (BenchConfig(n_trials=90, base_seed=11), 1, 3),
-    }
+    } | wide_runs() | drawn_runs()
     got = {name: checks.stats_sha256(run_bench(cfg, workers=w, blocks_per_cell=b).stats)
            for name, (cfg, w, b) in runs.items()}
     argv = ["bench", "--config", cfg_path, "--trials", "201", "--seed", "5", "--workers", "2",
